@@ -60,7 +60,7 @@ from repro.theory import (
 )
 from repro.experiments import run_experiment, available_experiments
 
-__version__ = "1.0.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "BroadcastConfig",

@@ -202,8 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pull and execute work units from a remote-dispatch coordinator",
         description=(
             "Worker half of --dispatch remote: registers with the coordinator, "
-            "then loops claim -> fetch -> execute -> push (heartbeating held "
-            "leases) until the coordinator reports the sweep done.  Any number "
+            "then loops claim -> execute -> push (heartbeating held leases) "
+            "until the coordinator reports the sweep done.  Any number "
             "of workers on any hosts produce results bit-for-bit identical to "
             "a --jobs 1 run."
         ),
@@ -240,10 +240,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         metavar="N",
-        help="work units claimed per v2 batch request; with N > 1 the worker "
-        "also pipelines (prefetches the next batch while executing the "
-        "current one); against a v1-only coordinator the worker falls back "
-        "to one-unit claims (default: 1)",
+        help="work units claimed per batch request, unit payloads inlined; "
+        "with N > 1 the worker also pipelines (prefetches the next batch "
+        "while executing the current one) (default: 1)",
     )
     worker_parser.add_argument(
         "--push-batch",

@@ -24,16 +24,17 @@ Public surface of the ``repro.exec`` subsystem:
   :class:`TransportFaultPlan` — the deterministic fault-injection harness
   the chaos suite drives (process faults and HTTP transport faults);
 * :class:`Coordinator` / :func:`run_worker` — the multi-host transport:
-  an embedded HTTP coordinator serving the unit lifecycle (v1 one-unit
-  endpoints and v2 batched claim/push), and the worker loop behind
+  an embedded HTTP coordinator serving the unit lifecycle over one API
+  (batched claim/push), and the worker loop behind
   ``repro worker --coordinator URL`` (batched, pipelined, keep-alive);
 * :class:`CoordinatorClient` — the persistent JSON-over-HTTP client the
   worker (and tests) speak to a coordinator with
   (:mod:`repro.exec.transport`);
 * :func:`encode_unit` / :func:`decode_unit` / :func:`unit_is_remotable` —
-  the wire codecs, plus the v2 batch message types
+  the wire codecs, plus the batch message types
   (:class:`ClaimBatchRequest` … :class:`PushBatchResponse`) and the
-  version constants (:mod:`repro.exec.protocol`).
+  version constants (:mod:`repro.exec.protocol`): :data:`PROTOCOL_VERSION`
+  stamps unit documents, :data:`API_VERSION` is the coordinator API.
 
 See ``docs/PARALLEL.md`` for the work-unit model, the determinism contract,
 resume semantics and the fault-tolerance layer, and ``docs/DISTRIBUTED.md``
@@ -57,9 +58,8 @@ from repro.exec.executor import (
 from repro.exec.faults import FaultInjectionError, FaultPlan, TransportFaultPlan
 from repro.exec.leases import LeaseTable
 from repro.exec.protocol import (
+    API_VERSION,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_BATCH,
-    SUPPORTED_PROTOCOL_VERSIONS,
     ClaimBatchRequest,
     ClaimBatchResponse,
     LeaseGrant,
@@ -92,10 +92,9 @@ from repro.exec.units import (
 
 __all__ = [
     "AGGREGATES",
+    "API_VERSION",
     "DISPATCH_MODES",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_BATCH",
-    "SUPPORTED_PROTOCOL_VERSIONS",
     "ClaimBatchRequest",
     "ClaimBatchResponse",
     "Coordinator",

@@ -21,13 +21,16 @@ from hypothesis import given, settings, strategies as st
 from repro.exec.protocol import (
     PROTOCOL_VERSION,
     REMOTE_KINDS,
-    ClaimRequest,
-    ClaimResponse,
+    ClaimBatchRequest,
+    ClaimBatchResponse,
     FailureReport,
     HeartbeatRequest,
+    LeaseGrant,
     ProtocolError,
-    PushRequest,
-    PushResponse,
+    PushAck,
+    PushBatchRequest,
+    PushBatchResponse,
+    PushEntry,
     RegisterRequest,
     RegisterResponse,
     canonical_json,
@@ -234,47 +237,53 @@ class TestStrictDecoding:
             decode_unit(document)
 
 
+_keys = st.text(min_size=1, max_size=32)
+_workers = st.text(min_size=1, max_size=12)
+_small_docs = st.dictionaries(st.text(max_size=6), st.integers(), max_size=3)
+_lease_grants = st.builds(LeaseGrant, key=_keys, fingerprint=_small_docs, unit=_small_docs)
+_push_entries = st.builds(PushEntry, key=_keys, fingerprint=_small_docs, record=_small_docs)
+_push_acks = st.builds(
+    PushAck, key=_keys, status=st.sampled_from(PushAck.STATUSES), error=st.text(max_size=40)
+)
+
 MESSAGES = st.one_of(
     st.builds(
         RegisterRequest,
-        worker=st.text(min_size=1, max_size=12),
+        worker=_workers,
         pid=st.integers(0, 2**22),
         host=st.text(max_size=12),
     ),
     st.builds(
         RegisterResponse,
-        worker=st.text(min_size=1, max_size=12),
+        worker=_workers,
         lease_ttl=st.floats(0.1, 600, allow_nan=False),
         poll_interval=st.floats(0.01, 10, allow_nan=False),
     ),
-    st.builds(ClaimRequest, worker=st.text(min_size=1, max_size=12)),
+    st.builds(ClaimBatchRequest, worker=_workers, max_units=st.integers(1, 64)),
     st.builds(
-        ClaimResponse,
-        status=st.just("unit"),
-        key=st.text(min_size=1, max_size=32),
-        fingerprint=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+        ClaimBatchResponse,
+        status=st.just("units"),
+        leases=st.lists(_lease_grants, min_size=1, max_size=3).map(tuple),
         retry_after=st.floats(0, 10, allow_nan=False),
     ),
-    st.builds(ClaimResponse, status=st.sampled_from(["idle", "done"])),
+    st.builds(ClaimBatchResponse, status=st.sampled_from(["idle", "done"])),
     st.builds(
         HeartbeatRequest,
-        worker=st.text(min_size=1, max_size=12),
-        keys=st.lists(st.text(min_size=1, max_size=32), max_size=4).map(tuple),
+        worker=_workers,
+        keys=st.lists(_keys, max_size=4).map(tuple),
     ),
     st.builds(
         FailureReport,
-        worker=st.text(min_size=1, max_size=12),
-        key=st.text(min_size=1, max_size=32),
+        worker=_workers,
+        key=_keys,
         error=st.text(max_size=40),
     ),
     st.builds(
-        PushRequest,
-        worker=st.text(min_size=1, max_size=12),
-        key=st.text(min_size=1, max_size=32),
-        fingerprint=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
-        record=st.dictionaries(st.text(max_size=6), st.integers(), max_size=3),
+        PushBatchRequest,
+        worker=_workers,
+        entries=st.lists(_push_entries, min_size=1, max_size=3).map(tuple),
     ),
-    st.builds(PushResponse, status=st.sampled_from(PushResponse.STATUSES)),
+    st.builds(PushBatchResponse, acks=st.lists(_push_acks, max_size=3).map(tuple)),
 )
 
 
@@ -285,16 +294,19 @@ class TestMessageRoundTrip:
         assert type(message).from_json(wire_trip(message.as_json())) == message
 
     def test_claim_unit_requires_a_key(self):
+        lease = {"key": "", "fingerprint": {}, "unit": {}}
         with pytest.raises(ProtocolError):
-            ClaimResponse.from_json({"status": "unit", "key": "", "fingerprint": {}})
+            ClaimBatchResponse.from_json({"status": "units", "leases": [lease]})
+        with pytest.raises(ProtocolError):
+            ClaimBatchResponse.from_json({"status": "units", "leases": []})
 
     def test_claim_status_is_validated(self):
         with pytest.raises(ProtocolError):
-            ClaimResponse.from_json({"status": "maybe"})
+            ClaimBatchResponse.from_json({"status": "maybe"})
 
     def test_push_status_is_validated(self):
         with pytest.raises(ProtocolError):
-            PushResponse.from_json({"status": "rejected"})
+            PushAck.from_json({"key": "k", "status": "maybe"})
 
     def test_heartbeat_keys_must_be_strings(self):
         with pytest.raises(ProtocolError):

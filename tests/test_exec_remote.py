@@ -37,9 +37,12 @@ from repro.exec import (
     unit_key,
 )
 from repro.exec.protocol import (
-    ClaimRequest,
-    ClaimResponse,
-    PushRequest,
+    PROTOCOL_VERSION,
+    ClaimBatchRequest,
+    ClaimBatchResponse,
+    PushBatchRequest,
+    PushBatchResponse,
+    PushEntry,
     RegisterRequest,
 )
 from repro.exec.remote import METRICS_CONTENT_TYPE
@@ -190,10 +193,16 @@ class TestMetricsEndpoint:
                 document = json.loads(response.read().decode("utf-8"))
             assert document["pending"] == 0 and document["finished"] is False
             client = CoordinatorClient(address)
-            status, _ = client.request("/api/unit/no-such-key")
-            assert status == 404
-            status, _ = client.request("/definitely-not-an-endpoint")
-            assert status == 404
+            # The single-unit API of workers before 0.11 is not served.
+            for path, body in [
+                ("/api/unit/no-such-key", None),
+                ("/api/claim", {"worker": "w"}),
+                ("/api/push", {"worker": "w"}),
+                ("/definitely-not-an-endpoint", None),
+            ]:
+                status, document = client.request(path, body)
+                assert status == 404, path
+                assert document["error"] == f"unknown path {path}"
         finally:
             executor.close()
 
@@ -304,6 +313,18 @@ def _unit(n_replications=2):
     )
 
 
+def _push(client, key, fingerprint, record):
+    """One single-entry ``/api/v2/push`` (always HTTP 200); returns its ack."""
+    request = PushBatchRequest(
+        worker="w", entries=(PushEntry(key=key, fingerprint=fingerprint, record=record),)
+    )
+    status, body = client.request("/api/v2/push", request.as_json())
+    assert status == 200, body
+    (ack,) = PushBatchResponse.from_json(body).acks
+    assert ack.key == key
+    return ack
+
+
 class TestPushValidation:
     def test_bad_pushes_are_rejected_and_quarantined_without_poisoning(self, tmp_path):
         coordinator = Coordinator(tmp_path / "store", lease_ttl=5.0)
@@ -316,34 +337,28 @@ class TestPushValidation:
                 "/api/register", RegisterRequest(worker="w").as_json()
             )
             assert status == 200
-            status, body = client.request("/api/claim", ClaimRequest(worker="w").as_json())
-            claim = ClaimResponse.from_json(body)
-            assert (status, claim.status, claim.key) == (200, "unit", key)
+            status, body = client.request(
+                "/api/v2/claim", ClaimBatchRequest(worker="w").as_json()
+            )
+            claim = ClaimBatchResponse.from_json(body)
+            assert (status, claim.status) == (200, "units")
+            assert [lease.key for lease in claim.leases] == [key]
 
             record = execute_unit(unit)
 
             # Fingerprint mismatch: rejected, quarantined, store untouched.
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint={"forged": True}, record=record
-                ).as_json(),
-            )
-            assert status == 409 and "fingerprint" in body["error"]
+            forged = {"forged": True}
+            ack = _push(client, key, forged, record)
+            assert ack.status == "rejected" and "fingerprint" in ack.error
 
             # Right fingerprint, truncated record: rejected too.
             truncated = dict(record, values=record["values"][:1])
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=truncated
-                ).as_json(),
-            )
-            assert status == 409 and "corrupt record" in body["error"]
+            ack = _push(client, key, fingerprint, truncated)
+            assert ack.status == "rejected" and "corrupt record" in ack.error
 
             # Garbage body: a protocol error, not a server error.
             request = urllib.request.Request(
-                f"{coordinator.address}/api/push",
+                f"{coordinator.address}/api/v2/push",
                 data=b"not json at all",
                 method="POST",
             )
@@ -351,49 +366,33 @@ class TestPushValidation:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 400
 
-            # Unknown key: 404.
-            status, _ = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key="f" * 32, fingerprint=fingerprint, record=record
-                ).as_json(),
-            )
-            assert status == 404
+            # Unknown key: rejected, but nothing to quarantine.
+            ack = _push(client, "f" * 32, fingerprint, record)
+            assert ack.status == "rejected" and "unknown unit" in ack.error
 
             store = coordinator.store
             assert key not in store
             quarantined = sorted(store.directory.glob("*.pushrejected-*"))
             assert len(quarantined) == 2
             assert coordinator.registry.get("repro_remote_rejected_pushes_total").value == 2
+            # Each sidecar holds exactly what was pushed, and by whom.
+            sidecars = [json.loads(path.read_text(encoding="utf-8")) for path in quarantined]
+            wire_record = json.loads(json.dumps(record))
+            wire_truncated = json.loads(json.dumps(truncated))
+            assert sorted(sidecars, key=lambda doc: "forged" in doc["fingerprint"]) == [
+                {"worker": "w", "key": key, "fingerprint": fingerprint, "record": wire_truncated},
+                {"worker": "w", "key": key, "fingerprint": forged, "record": wire_record},
+            ]
 
             # The honest push still lands, and the store resumes from it.
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=record
-                ).as_json(),
-            )
-            assert (status, body["status"]) == (200, "stored")
+            assert _push(client, key, fingerprint, record).status == "stored"
             coordinator.wait([key], timeout=10)
-            assert store.get(key, fingerprint) == json.loads(json.dumps(record))
+            assert store.get(key, fingerprint) == wire_record
 
             # Byte-equal re-push is idempotent; a conflicting one is not.
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=record
-                ).as_json(),
-            )
-            assert (status, body["status"]) == (200, "duplicate")
-            conflicting = json.loads(json.dumps(record))
-            conflicting["values"] = [v + 1 for v in conflicting["values"]]
-            status, body = client.request(
-                "/api/push",
-                PushRequest(
-                    worker="w", key=key, fingerprint=fingerprint, record=conflicting
-                ).as_json(),
-            )
-            assert status == 409
+            assert _push(client, key, fingerprint, record).status == "duplicate"
+            conflicting = dict(wire_record, values=[v + 1 for v in wire_record["values"]])
+            assert _push(client, key, fingerprint, conflicting).status == "rejected"
         finally:
             coordinator.close(linger=0.0)
 
@@ -401,10 +400,19 @@ class TestPushValidation:
         coordinator = Coordinator(tmp_path / "store", lease_ttl=5.0)
         try:
             client = CoordinatorClient(coordinator.address)
-            status, body = client.request(
-                "/api/register", RegisterRequest(worker="w", version=99).as_json()
+            # A default registration announces the coordinator-API version,
+            # not the unit-document version.
+            status, _ = client.request(
+                "/api/register", RegisterRequest(worker="w").as_json()
             )
-            assert status == 400 and "version mismatch" in body["error"]
+            assert status == 200
+            # Any other version is refused, including the single-unit v1
+            # API of workers before 0.11.
+            for version in (PROTOCOL_VERSION, 99):
+                status, body = client.request(
+                    "/api/register", RegisterRequest(worker="w", version=version).as_json()
+                )
+                assert status == 400 and "version mismatch" in body["error"]
         finally:
             coordinator.close(linger=0.0)
 
