@@ -399,10 +399,12 @@ def _execute_process_unit(unit: WorkUnit) -> dict[str, Any]:
 def _execute_map_unit(unit: WorkUnit) -> dict[str, Any]:
     fn: Callable[..., Any] = unit.payload["fn"]
     kwargs = dict(unit.payload.get("kwargs") or {})
-    trials = []
-    for rng in unit.seed.trial_rngs(unit.start, unit.stop):
-        trials.append(to_jsonable(fn(rng, **kwargs)))
-    return {"trials": trials}
+    rngs = unit.seed.trial_rngs(unit.start, unit.stop)
+    if unit.payload.get("batched"):
+        outputs = fn(rngs, **kwargs)
+    else:
+        outputs = [fn(rng, **kwargs) for rng in rngs]
+    return {"trials": [to_jsonable(output) for output in outputs]}
 
 
 #: Result-dataclass integer-array fields carried through records; for
@@ -1534,20 +1536,27 @@ class SweepExecutor:
         seed: SeedLike,
         kwargs: Optional[Mapping[str, Any]] = None,
         label: Optional[str] = None,
+        batched: bool = False,
     ) -> list[Any]:
         """Sharded per-trial map: ``fn(rng, **kwargs)`` for every trial.
 
         ``fn`` must be module-level (picklable) and return a JSON-able
-        payload; trial payloads come back in trial order.  Unpicklable
-        payloads (e.g. closures) degrade gracefully to chunked in-process
-        execution, but are excluded from the result store — captured state
-        is invisible to the content fingerprint, so caching them could
-        alias distinct functions.
+        payload; trial payloads come back in trial order.  With
+        ``batched=True`` it is called once per unit as ``fn(rngs,
+        **kwargs)`` and returns the list of that chunk's trial payloads.
+        Unpicklable payloads (e.g. closures) degrade gracefully to chunked
+        in-process execution, but are excluded from the result store —
+        captured state is invisible to the content fingerprint, so caching
+        them could alias distinct functions.
         """
+        payload: dict[str, Any] = {"fn": fn, "kwargs": dict(kwargs or {})}
+        if batched:
+            # Only set when true, so per-trial unit keys stay as they were.
+            payload["batched"] = True
         units = self.decompose(
             label=label or f"{fn.__module__}:{getattr(fn, '__qualname__', 'fn')}",
             kind="map",
-            payload={"fn": fn, "kwargs": dict(kwargs or {})},
+            payload=payload,
             n_replications=n_replications,
             seed=seed,
         )
@@ -1617,6 +1626,7 @@ def map_replications(
     seed: SeedLike = None,
     kwargs: Optional[Mapping[str, Any]] = None,
     label: Optional[str] = None,
+    batched: bool = False,
 ) -> list[Any]:
     """Run ``fn(rng, **kwargs)`` for ``n_replications`` independent streams.
 
@@ -1626,11 +1636,18 @@ def map_replications(
     loop.  Under an active executor the same streams are re-derived per
     chunk and trials are sharded (and, with a store, resumable).  Trial
     return values must be JSON-able for the two paths to be interchangeable.
+
+    With ``batched=True``, ``fn(rngs, **kwargs)`` takes a list of streams
+    and returns one payload per stream: inline it gets every trial at once,
+    under an executor one unit's chunk.  Trial ``i`` must depend on stream
+    ``i`` only, so the chunking cannot change a result.
     """
     executor = current_executor()
     if executor is None:
         rngs = spawn_rngs(seed, n_replications)
+        if batched:
+            return list(fn(rngs, **dict(kwargs or {})))
         return [fn(rng, **dict(kwargs or {})) for rng in rngs]
     return executor.map_replications(
-        fn, n_replications, seed, kwargs=kwargs, label=label
+        fn, n_replications, seed, kwargs=kwargs, label=label, batched=batched
     )

@@ -225,9 +225,6 @@ class Coordinator:
         self._idle_polls_total = reg.counter(
             "repro_remote_idle_polls_total", help="Claim polls answered with no claimable unit."
         )
-        self._unit_fetches_total = reg.counter(
-            "repro_remote_unit_fetches_total", help="Unit payload documents served."
-        )
         self._heartbeats_total = reg.counter(
             "repro_remote_heartbeats_total", help="Worker heartbeat requests processed."
         )
@@ -469,7 +466,6 @@ class Coordinator:
                 if key not in won:
                     continue
                 self._claims_total.inc()
-                self._unit_fetches_total.inc()
                 self._granted[key] = (request.worker, now)
                 leases.append(
                     LeaseGrant(key=key, fingerprint=entry.fingerprint, unit=entry.document)

@@ -45,7 +45,9 @@ class WorkUnit:
         ``{"config": BroadcastConfig | GossipConfig}``.  For process kind:
         ``{"process": {"name": ..., "kwargs": {...}}}`` (a
         :attr:`repro.dissemination.kernels.ProcessKernel.spec`).  For map
-        kind: ``{"fn": <module-level callable>, "kwargs": {...}}``.
+        kind: ``{"fn": <module-level callable>, "kwargs": {...}}``, plus
+        ``"batched": True`` when ``fn`` takes the unit's whole list of
+        streams.
     n_replications:
         Total number of trials at this sweep point (the chunk is a slice of
         this range; the total is part of the identity so chunk layouts of

@@ -23,11 +23,10 @@ EXPERIMENT_ID = "E5"
 TITLE = "Pairwise meeting probability within d^2 steps (Lemma 3)"
 
 
-def _meeting_trial(rng: RandomState, side: int, d: int, rule: str) -> dict:
-    """One pair of walks (executor work unit): did they meet, and in the lens?"""
+def _meeting_trials(rngs: list[RandomState], side: int, d: int, rule: str) -> list[dict]:
+    """Pairs of walks, one per stream (executor work unit): did they meet, in the lens?"""
     experiment = MeetingExperiment(Grid2D(side), d, rule=rule)
-    met, in_lens = experiment.run_trial(rng)
-    return {"met": bool(met), "in_lens": bool(in_lens)}
+    return [{"met": met, "in_lens": lens} for met, lens in experiment.run_trials(rngs)]
 
 
 def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
@@ -45,14 +44,16 @@ def run(scale: str = "small", seed: SeedLike = 0) -> ExperimentReport:
         # Lemma 3 is stated for simple random walks; the workload only uses
         # even distances, so the simple walk's parity constraint is harmless.
         # Pair trials are independent, so the point-internal sampling shards
-        # through the executor like any replication range.
+        # through the executor like any replication range; each unit steps
+        # its pairs as one batch.
         experiment = MeetingExperiment(grid, d, rule="simple")
         records = map_replications(
-            _meeting_trial,
+            _meeting_trials,
             trials,
             seed=rng,
             kwargs={"side": side, "d": d, "rule": "simple"},
             label=f"{EXPERIMENT_ID}[d={d}]",
+            batched=True,
         )
         result = MeetingResult(
             initial_distance=d,

@@ -73,6 +73,7 @@ def simple_step(grid: Grid2D, positions: np.ndarray, rng: RandomState) -> np.nda
     rejection: draw one of the four axis moves, and re-draw (vectorised) for
     the agents whose proposal left the grid.
     """
+    _check_simple_side(grid.side)
     positions = np.asarray(positions, dtype=np.int64)
     k = positions.shape[0]
     current = positions.copy()
@@ -93,6 +94,13 @@ def simple_step(grid: Grid2D, positions: np.ndarray, rng: RandomState) -> np.nda
         result[accepted] = proposed[inside]
         pending = pending[~inside]
     return result
+
+
+def _check_simple_side(side: int) -> None:
+    # On a side-1 grid every axis move leaves the grid, so the rejection
+    # loop of the simple rule would never accept a proposal.
+    if side < 2:
+        raise ValueError(f"the simple rule needs a grid of side >= 2, got side {side}")
 
 
 def apply_lazy_choices(grid: Grid2D, positions: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -344,3 +352,69 @@ class BlockDrawStepper(BatchStepper):
         self._cursor = cursor + m
         assert self._buffer is not None
         return self._buffer[active, cursor:cursor + m]
+
+
+class SimpleStreamStepper(BatchStepper):
+    """Batch stepper of the *simple* rule, bit-for-bit with :func:`simple_step`.
+
+    The rejection loop of :func:`simple_step` draws a data-dependent number
+    of values per step, so fixed-size blocks cannot be pre-drawn for it.
+    What a trial consumes is still one flat stream of ``rng.integers(1, 5)``
+    values, taken round by round (one value per still-pending agent, agents
+    in index order).  Bulk ``integers`` draws equal successive smaller
+    ones, so each trial keeps a buffer of the next values of its stream and
+    a cursor into it.  The rejection rounds are vectorised over the whole
+    compacted batch; a trial whose buffer cannot serve the current round
+    refills it (at least ``block`` fresh values) before the round draws.
+    """
+
+    def __init__(self, grid: Grid2D, rngs: Sequence[RandomState], block: int = 256) -> None:
+        _check_simple_side(grid.side)
+        if block < 1:
+            raise ValueError(f"block must be positive, got {block}")
+        self._side = grid.side
+        self._rngs = list(rngs)
+        self._block = int(block)
+        self._buffer: np.ndarray | None = None
+        self._cursor = np.zeros(len(self._rngs), dtype=np.int64)
+        self._end = np.zeros(len(self._rngs), dtype=np.int64)
+
+    def _refill(self, trials: np.ndarray, need: np.ndarray) -> None:
+        assert self._buffer is not None
+        for trial, n in zip(trials.tolist(), need.tolist()):
+            cursor, end = int(self._cursor[trial]), int(self._end[trial])
+            rest = end - cursor
+            fresh = self._rngs[trial].integers(1, 5, size=max(self._block, n - rest))
+            row = self._buffer[trial]
+            row[:rest] = row[cursor:end]
+            row[rest:rest + fresh.size] = fresh
+            self._cursor[trial] = 0
+            self._end[trial] = rest + fresh.size
+
+    def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
+        positions = np.asarray(positions, dtype=np.int64)
+        n_rows, k = positions.shape[:2]
+        if self._buffer is None:
+            # A round needs at most k values and a refill keeps fewer than
+            # k old ones, so block + k columns always suffice.
+            self._buffer = np.zeros((len(self._rngs), self._block + k), dtype=np.int8)
+        current = positions.reshape(-1, 2)
+        result = current.copy()
+        pending = np.arange(n_rows * k)
+        while pending.size:
+            rows = pending // k
+            counts = np.bincount(rows, minlength=n_rows)
+            cursor = self._cursor[active]
+            short = self._end[active] - cursor < counts
+            if short.any():
+                self._refill(active[short], counts[short])
+                cursor = self._cursor[active]
+            # Rank of each pending agent among its trial's pending agents.
+            rank = np.arange(pending.size) - (np.cumsum(counts) - counts)[rows]
+            choice = self._buffer[active[rows], cursor[rows] + rank]
+            self._cursor[active] = cursor + counts
+            proposed = current[pending] + PROPOSALS[choice]
+            inside = np.all((proposed >= 0) & (proposed < self._side), axis=1)
+            result[pending[inside]] = proposed[inside]
+            pending = pending[~inside]
+        return result.reshape(positions.shape)

@@ -12,7 +12,7 @@ from repro.mobility.kernels import (
     BatchStepper,
     BlockDrawStepper,
     MobilityState,
-    PerTrialStepper,
+    SimpleStreamStepper,
     StepRule,
     _check_batch_positions,
     apply_lazy_choices,
@@ -77,9 +77,9 @@ class RandomWalkMobility(MobilityModel):
         rngs: Sequence[RandomState],
         states: Optional[Sequence[Optional[MobilityState]]] = None,
     ) -> BatchStepper:
-        states = self._check_states(len(rngs), states)
+        self._check_states(len(rngs), states)
         if self._rule != "lazy":
-            return PerTrialStepper(self, rngs, states)
+            return SimpleStreamStepper(self._grid, rngs)
         grid = self._grid
         return BlockDrawStepper(
             rngs,

@@ -1,9 +1,14 @@
 """Random-walk substrate.
 
-Implements the paper's lazy random walk (probability ``1/5`` to move to each
-existing neighbour, stay otherwise) as a vectorised multi-agent engine, plus
-single-walk utilities (hitting times, range, displacement) and the pairwise
-meeting experiments that validate Lemma 3.
+The paper's lazy random walk (probability ``1/5`` to move to each existing
+neighbour, stay otherwise) and the simple walk step through the mobility
+batch steppers of :mod:`repro.mobility.kernels`.  On top of them sit the
+batched trial samplers that validate the walk lemmas — the pairwise meeting
+experiments of Lemma 3 (:meth:`MeetingExperiment.run_trials`, E5) and the
+range/displacement sampler of Lemma 2 (:func:`sample_ranges`, E15), each
+stepping ``R`` independent trials as one batch — plus single-walk utilities
+(trajectories, hitting times, range, displacement), occupancy checks and
+the :class:`WalkEngine` convenience wrapper.
 """
 
 from repro.mobility.kernels import (
@@ -21,7 +26,7 @@ from repro.walks.single import (
     distinct_nodes_visited,
 )
 from repro.walks.meeting import MeetingExperiment, MeetingResult, estimate_meeting_probability
-from repro.walks.range_stats import RangeStatistics, estimate_range_statistics
+from repro.walks.range_stats import RangeStatistics, estimate_range_statistics, sample_ranges
 from repro.walks.occupancy import (
     StationarityReport,
     chi_square_uniformity,
@@ -45,6 +50,7 @@ __all__ = [
     "estimate_meeting_probability",
     "RangeStatistics",
     "estimate_range_statistics",
+    "sample_ranges",
     "StationarityReport",
     "chi_square_uniformity",
     "occupancy_counts",

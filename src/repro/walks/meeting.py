@@ -20,14 +20,15 @@ constraint and obeys the same asymptotic bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.grid.lattice import Grid2D
 from repro.grid.geometry import manhattan_distance
 from repro.mobility.kernels import StepRule
-from repro.walks.walkers import WalkEngine
-from repro.util.rng import RandomState, default_rng
+from repro.mobility.random_walk import RandomWalkMobility
+from repro.util.rng import RandomState, spawn_rngs
 from repro.util.validation import check_positive_int
 
 
@@ -117,38 +118,55 @@ class MeetingExperiment:
                 )
         return a, b
 
+    def run_trials(self, rngs: Sequence[RandomState]) -> list[tuple[bool, bool]]:
+        """Simulate one pair of walks per generator; ``(met, met_inside_lens)`` each.
+
+        The pairs advance together as one ``(R, 2, 2)`` batch through the
+        mobility batch stepper, and a pair leaves the batch when its walks
+        meet.  Each trial consumes only its own generator, so trial ``i``
+        is the same whatever batch it runs in.
+        """
+        a0, b0 = self._starting_points()
+        n_trials = len(rngs)
+        met = np.zeros(n_trials, dtype=bool)
+        in_lens = np.zeros(n_trials, dtype=bool)
+        stepper = RandomWalkMobility(self._grid, self._rule).batch_stepper(2, rngs)
+        positions = np.broadcast_to(np.stack([a0, b0]), (n_trials, 2, 2)).copy()
+        active = np.arange(n_trials)
+        for _ in range(self._horizon):
+            if not active.size:
+                break
+            positions = stepper.step(positions, active)
+            hit = np.all(positions[:, 0] == positions[:, 1], axis=1)
+            if hit.any():
+                meeting = positions[hit, 0]
+                trials = active[hit]
+                met[trials] = True
+                in_lens[trials] = (np.abs(meeting - a0).sum(axis=1) <= self._d) & (
+                    np.abs(meeting - b0).sum(axis=1) <= self._d
+                )
+                positions = positions[~hit]
+                active = active[~hit]
+        return list(zip(met.tolist(), in_lens.tolist()))
+
     def run_trial(self, rng: RandomState) -> tuple[bool, bool]:
         """Simulate one pair of walks; returns ``(met, met_inside_lens)``."""
-        a0, b0 = self._starting_points()
-        positions = np.stack([a0, b0])
-        engine = WalkEngine(self._grid, positions, rule=self._rule, rng=rng)
-        for _ in range(self._horizon):
-            pos = engine.step()
-            if pos[0, 0] == pos[1, 0] and pos[0, 1] == pos[1, 1]:
-                meeting = pos[0]
-                in_lens = (
-                    int(manhattan_distance(meeting, a0)) <= self._d
-                    and int(manhattan_distance(meeting, b0)) <= self._d
-                )
-                return True, in_lens
-        return False, False
+        return self.run_trials([rng])[0]
 
     def estimate(self, trials: int, rng: RandomState | int | None = None) -> MeetingResult:
-        """Estimate the meeting probability from ``trials`` independent pairs."""
+        """Estimate the meeting probability from ``trials`` independent pairs.
+
+        Trial ``i`` runs on the ``i``-th stream of ``spawn_rngs(rng,
+        trials)``, so a seed gives the numbers E5 reports for this point.
+        """
         trials = check_positive_int(trials, "trials")
-        rng = default_rng(rng)
-        meetings = 0
-        in_lens = 0
-        for _ in range(trials):
-            met, lens = self.run_trial(rng)
-            meetings += int(met)
-            in_lens += int(lens)
+        outcomes = self.run_trials(spawn_rngs(rng, trials))
         return MeetingResult(
             initial_distance=self._d,
             horizon=self._horizon,
             trials=trials,
-            meetings=meetings,
-            meetings_in_lens=in_lens,
+            meetings=sum(met for met, _ in outcomes),
+            meetings_in_lens=sum(lens for _, lens in outcomes),
         )
 
 

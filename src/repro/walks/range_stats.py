@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.grid.lattice import Grid2D
 from repro.mobility.kernels import StepRule
-from repro.walks.single import walk_trajectory, max_displacement, distinct_nodes_visited
-from repro.util.rng import RandomState, default_rng
+from repro.mobility.random_walk import RandomWalkMobility
+from repro.util.rng import RandomState, spawn_rngs
 from repro.util.validation import check_positive_int
 
 
@@ -72,6 +73,43 @@ class RangeStatistics:
         )
 
 
+def sample_ranges(
+    grid: Grid2D,
+    start: np.ndarray,
+    steps: int,
+    rngs: Sequence[RandomState],
+    rule: StepRule = "lazy",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Range and maximum displacement of one length-``steps`` walk per generator.
+
+    The walks advance together as one ``(R, 1, 2)`` batch through the
+    mobility batch stepper.  Each keeps a visited bitmap over the grid and
+    a running maximum of its Manhattan displacement from ``start``, so no
+    trajectory is stored.  Returns the ``(R,)`` integer arrays ``ranges``
+    (distinct nodes visited, start included) and ``displacements``.
+    """
+    start = np.asarray(start, dtype=np.int64).reshape(2)
+    n_trials = len(rngs)
+    side = grid.side
+    rows = np.arange(n_trials)
+    visited = np.zeros((n_trials, grid.n_nodes), dtype=bool)
+    visited[:, grid.node_id(start)] = True
+    ranges = np.ones(n_trials, dtype=np.int64)
+    displacements = np.zeros(n_trials, dtype=np.int64)
+    if not n_trials:
+        return ranges, displacements
+    stepper = RandomWalkMobility(grid, rule).batch_stepper(1, rngs)
+    positions = np.broadcast_to(start, (n_trials, 1, 2)).copy()
+    for _ in range(steps):
+        positions = stepper.step(positions, rows)
+        here = positions[:, 0]
+        node = here[:, 0] * side + here[:, 1]
+        ranges += ~visited[rows, node]
+        visited[rows, node] = True
+        np.maximum(displacements, np.abs(here - start).sum(axis=1), out=displacements)
+    return ranges, displacements
+
+
 def estimate_range_statistics(
     grid: Grid2D,
     steps: int,
@@ -80,15 +118,13 @@ def estimate_range_statistics(
     rule: StepRule = "lazy",
     start: np.ndarray | None = None,
 ) -> RangeStatistics:
-    """Monte-Carlo estimate of the range statistics of a length-``steps`` walk."""
+    """Monte-Carlo estimate of the range statistics of a length-``steps`` walk.
+
+    Walk ``i`` runs on the ``i``-th stream of ``spawn_rngs(rng, trials)``,
+    so a seed gives the numbers E15 reports for this length.
+    """
     steps = check_positive_int(steps, "steps")
     trials = check_positive_int(trials, "trials")
-    rng = default_rng(rng)
-    start = grid.center() if start is None else np.asarray(start, dtype=np.int64)
-    ranges = np.empty(trials, dtype=np.int64)
-    displacements = np.empty(trials, dtype=np.int64)
-    for i in range(trials):
-        traj = walk_trajectory(grid, start, steps, rng=rng, rule=rule)
-        ranges[i] = distinct_nodes_visited(traj, grid)
-        displacements[i] = max_displacement(traj)
+    start = grid.center() if start is None else start
+    ranges, displacements = sample_ranges(grid, start, steps, spawn_rngs(rng, trials), rule)
     return RangeStatistics.from_samples(steps, ranges, displacements)

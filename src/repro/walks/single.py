@@ -11,8 +11,10 @@ import numpy as np
 
 from repro.grid.lattice import Grid2D
 from repro.mobility.kernels import StepRule
+from repro.mobility.random_walk import RandomWalkMobility
+from repro.walks.range_stats import sample_ranges
 from repro.walks.walkers import WalkEngine
-from repro.util.rng import RandomState, default_rng
+from repro.util.rng import RandomState, default_rng, spawn_rngs
 
 
 def walk_trajectory(
@@ -22,10 +24,25 @@ def walk_trajectory(
     rng: RandomState | int | None = None,
     rule: StepRule = "lazy",
 ) -> np.ndarray:
-    """Trajectory of a single walk: ``(steps + 1, 2)`` array of positions."""
-    start = np.asarray(start, dtype=np.int64).reshape(1, 2)
-    engine = WalkEngine(grid, start, rule=rule, rng=rng)
-    return engine.trajectory(steps)[:, 0, :]
+    """Trajectory of a single walk: ``(steps + 1, 2)`` array of positions.
+
+    A batch of one through the mobility batch stepper.  The stepper
+    pre-draws the generator in blocks, so ``rng`` may be advanced past the
+    draws the trajectory used.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    start = np.asarray(start, dtype=np.int64).reshape(1, 1, 2)
+    if not np.all(grid.contains(start[0])):
+        raise ValueError("some initial positions lie outside the grid")
+    stepper = RandomWalkMobility(grid, rule).batch_stepper(1, [default_rng(rng)])
+    trajectory = np.empty((steps + 1, 2), dtype=np.int64)
+    trajectory[0] = start[0, 0]
+    positions, active = start, np.zeros(1, dtype=np.int64)
+    for t in range(1, steps + 1):
+        positions = stepper.step(positions, active)
+        trajectory[t] = positions[0, 0]
+    return trajectory
 
 
 def hitting_time(
@@ -100,14 +117,12 @@ def displacement_tail_probability(
     Lemma 2 (point 1) bounds this probability by ``2 * exp(-lam^2 / 2)`` for
     each fixed step; here we measure the (larger) probability that the
     maximum displacement over the whole interval exceeds the threshold, which
-    is what the experiments report.
+    is what the experiments report.  Walk ``i`` runs on the ``i``-th
+    stream of ``spawn_rngs(rng, trials)``.
     """
-    rng = default_rng(rng)
-    threshold = lam * np.sqrt(steps)
-    center = grid.center()
-    exceed = 0
-    for _ in range(trials):
-        traj = walk_trajectory(grid, center, steps, rng=rng, rule=rule)
-        if max_displacement(traj) >= threshold:
-            exceed += 1
-    return exceed / trials if trials else 0.0
+    if not trials:
+        return 0.0
+    _, displacements = sample_ranges(
+        grid, grid.center(), steps, spawn_rngs(rng, trials), rule
+    )
+    return float(np.count_nonzero(displacements >= lam * np.sqrt(steps)) / trials)

@@ -278,8 +278,8 @@ class TestWorkerDeath:
         try:
             driver.start()
             deadline = time.monotonic() + 60
-            while counter_value(executor, "repro_remote_unit_fetches_total") < 1:
-                assert time.monotonic() < deadline, "victim never fetched a unit"
+            while counter_value(executor, "repro_remote_claims_total") < 1:
+                assert time.monotonic() < deadline, "victim never claimed a unit"
                 assert victim.poll() is None, "victim exited prematurely"
                 time.sleep(0.05)
             time.sleep(1.0)  # let the victim finish executing and enter the sleep
