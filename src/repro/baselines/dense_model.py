@@ -14,6 +14,22 @@ paper's sparse model: in the dense regime the visibility graph has a giant
 flooding would finish in one step.  Clementi et al. instead let information
 travel only ``R`` per step, which is what produces the ``sqrt(n)/R`` law this
 baseline reproduces (experiment E16).
+
+The exchange asks one yes/no question per agent ("is an informed agent within
+``R``?") and answers it in ``O(n + k)`` per step without listing neighbour
+pairs.  Rotating the grid by 45 degrees, ``u = x + y`` and
+``v = x - y + (side - 1)``, turns Manhattan distance into Chebyshev distance,
+``|dx| + |dy| = max(|du|, |dv|)``, so the L1 ball of radius ``R`` around an
+agent becomes the axis-aligned square ``|du|, |dv| <= h`` on the
+``(2 side - 1)^2`` rotated grid.  Agents sit on integer nodes, so their
+distances are integers and ``d <= R`` holds exactly when ``d <= floor(R)``:
+the half-width ``h = floor(R)`` loses nothing for fractional radii.  A radius
+beyond the grid diameter ``2 (side - 1)`` is clamped to it (an infinite
+radius reaches every agent in one hop).  The informed agents are counted onto
+the rotated grid, a 2-D prefix sum of those counts is taken once, and every
+agent reads the informed count of its square from four corners of the prefix
+sum.  The exchange draws no randomness, so runs are bit-for-bit those of the
+pair-listing exchange it replaced.
 """
 
 from __future__ import annotations
@@ -23,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.grid.lattice import Grid2D
 from repro.mobility.jump import JumpMobility
 from repro.util.rng import RandomState, default_rng
@@ -45,18 +60,29 @@ class DenseModelResult:
 
 
 def _single_hop_exchange(
-    positions: np.ndarray, informed: np.ndarray, radius: float
+    positions: np.ndarray, informed: np.ndarray, radius: float, side: int
 ) -> np.ndarray:
-    """One round of single-hop exchange: informed agents inform neighbours within ``radius``."""
-    if radius < 0:
+    """One round of single-hop exchange: informed agents inform neighbours within ``radius``.
+
+    ``positions`` are on-grid nodes of the ``side x side`` lattice; see the
+    module docstring for the rotated-grid prefix sum.
+    """
+    if not radius >= 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    new_informed = informed.copy()
-    pairs = neighbor_pairs(positions, radius)
-    if pairs.size:
-        a, b = pairs[:, 0], pairs[:, 1]
-        new_informed[b[informed[a]]] = True
-        new_informed[a[informed[b]]] = True
-    return new_informed
+    half = int(min(radius, 2 * (side - 1)))
+    width = 2 * side - 1
+    positions = np.asarray(positions, dtype=np.int64)
+    u = positions[:, 0] + positions[:, 1]
+    v = positions[:, 0] - positions[:, 1] + (side - 1)
+    counts = np.bincount(u[informed] * width + v[informed], minlength=width * width)
+    # prefix[i, j] = number of informed agents with u < i and v < j.
+    prefix = np.zeros((width + 1, width + 1), dtype=np.int64)
+    np.cumsum(counts.reshape(width, width), axis=0, out=prefix[1:, 1:])
+    np.cumsum(prefix[1:, 1:], axis=1, out=prefix[1:, 1:])
+    u_lo, u_hi = np.maximum(u - half, 0), np.minimum(u + half + 1, width)
+    v_lo, v_hi = np.maximum(v - half, 0), np.minimum(v + half + 1, width)
+    hits = prefix[u_hi, v_hi] - prefix[u_lo, v_hi] - prefix[u_hi, v_lo] + prefix[u_lo, v_lo]
+    return informed | (hits > 0)
 
 
 class DenseModelSimulation:
@@ -123,7 +149,7 @@ class DenseModelSimulation:
         curve: list[int] = []
         t = 0
         while t < self._max_steps:
-            informed = _single_hop_exchange(positions, informed, self._radius)
+            informed = _single_hop_exchange(positions, informed, self._radius, self._grid.side)
             curve.append(int(informed.sum()))
             if informed.all():
                 broadcast_time = t

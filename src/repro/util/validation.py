@@ -30,12 +30,12 @@ def check_positive_int(value: Any, name: str) -> int:
 
 
 def check_non_negative(value: Any, name: str) -> float:
-    """Return ``value`` as float if non-negative, else raise."""
+    """Return ``value`` as float if non-negative, else raise (NaN included)."""
     try:
         fvalue = float(value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be a non-negative number, got {value!r}") from exc
-    if fvalue < 0:
+    if not fvalue >= 0:
         raise ValidationError(f"{name} must be non-negative, got {value}")
     return fvalue
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.dense_model import DenseModelSimulation
 from repro.util.validation import (
     ValidationError,
     check_in_range,
@@ -56,6 +57,13 @@ class TestCheckNonNegative:
         with pytest.raises(ValidationError):
             check_non_negative(object(), "x")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            check_non_negative(float("nan"), "x")
+
+    def test_accepts_infinity(self):
+        assert check_non_negative(float("inf"), "x") == float("inf")
+
 
 class TestCheckProbability:
     def test_accepts_bounds(self):
@@ -69,6 +77,16 @@ class TestCheckProbability:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             check_probability(-0.5, "p")
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError):
+            check_probability(float("nan"), "p")
+
+
+class TestNaNReachesNoSimulation:
+    def test_dense_model_rejects_nan_exchange_radius(self):
+        with pytest.raises(ValidationError, match="exchange_radius"):
+            DenseModelSimulation(100, 100, exchange_radius=float("nan"), jump_radius=1)
 
 
 class TestCheckInRange:
