@@ -19,7 +19,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.compiled._csrc import C_SOURCE
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 _F64P = ctypes.POINTER(ctypes.c_double)
+_I8P = ctypes.POINTER(ctypes.c_int8)
 
 #: Compiler candidates tried in order (first one present wins).
 _COMPILERS = ("cc", "gcc", "clang")
@@ -55,12 +56,27 @@ def _u8(arr: np.ndarray) -> ctypes.c_void_p:
     return ctypes.cast(arr.ctypes.data, _U8P)
 
 
+def _i8(arr: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.cast(arr.ctypes.data, _I8P)
+
+
 def _f64(arr: np.ndarray) -> ctypes.c_void_p:
     return ctypes.cast(arr.ctypes.data, _F64P)
 
 
 def _contig_i64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
+
+
+def _check_buffer(arr: Optional[np.ndarray], dtype: Any, shape: tuple) -> None:
+    """Refuse a buffer the native code would misread or overrun."""
+    if arr is None:
+        raise ValueError(f"missing {np.dtype(dtype)} buffer of shape {shape}")
+    if arr.dtype != dtype or arr.shape != shape or not arr.flags["C_CONTIGUOUS"]:
+        raise ValueError(
+            f"expected a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
+            f"got {arr.dtype} {arr.shape}"
+        )
 
 
 def _build_library() -> ctypes.CDLL:
@@ -123,10 +139,17 @@ class CcOps:
             "repro_apply_brownian",
             "repro_flood_r0",
             "repro_broadcast_r0_block",
+            "repro_process_r0_block",
             "repro_labels_batch",
             "repro_delta_step",
         ):
             getattr(self._lib, fn).restype = ctypes.c_int64
+        i64 = ctypes.c_int64
+        self._lib.repro_process_r0_block.argtypes = [
+            i64, i64, i64, i64, i64, i64, i64, i64, i64, i64, i64, _I64P,
+            _I8P, i64, _I64P, _I64P, _I64P, _U8P, _U8P, _I64P,
+            _I64P, i64, _I64P, _I64P, _I64P, _I64P,
+        ]
 
     # -- mobility applies ------------------------------------------------- #
     def apply_lazy(self, side: int, positions: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -251,6 +274,93 @@ class CcOps:
                 ctypes.c_int64(n_nodes), ctypes.c_int64(n_steps), ctypes.c_int64(kind),
                 mask_ptr, ichoice, fdisp, _i64(positions), _u8(informed),
                 _i64(table), ctypes.c_int64(epoch0), _i64(done_at), _i64(counts_out),
+            )
+        )
+
+    #: ``repro_process_r0_block`` kinds: (code, reads a mask, keeps visited
+    #: marks and counts, number of event-time arrays).
+    _PROCESS_KINDS = {
+        "frog": (1, True, False, 1),
+        "coverage": (2, True, True, 2),
+        "cover": (3, False, True, 1),
+        "predator_prey": (4, True, False, 1),
+    }
+
+    def process_r0_block(
+        self,
+        batch: Any,
+        rows: np.ndarray,
+        stream: Any,
+        side: int,
+        n_nodes: int,
+        table: np.ndarray,
+        t0: int,
+        s0: int,
+        done_at: np.ndarray,
+        counts_out: np.ndarray,
+    ) -> int:
+        """Run fused process steps ``s0 ..`` of a block; return where it stopped.
+
+        ``batch`` is a kernel's :class:`~repro.dissemination.kernels.FusedBatch`
+        for the trials ``rows`` and ``stream`` a
+        :class:`~repro.mobility.kernels.ChoiceStream`; both are mutated in
+        place, as are the epoch ``table`` (epochs ``t0 + s + 1``),
+        ``done_at`` and ``counts_out``.  The return value is
+        ``counts_out.shape[0]`` when the block ran to its end, the step at
+        which every row had finished, or the step at which an unfinished
+        row's stream held fewer than ``batch.max_draws`` values (refill it
+        and call again from there).
+        """
+        code, with_mask, with_visited, n_times = self._PROCESS_KINDS[batch.kind]
+        n_steps, n_rows = counts_out.shape
+        n_points = batch.positions.shape[1]
+        n_trials, width = stream.buffer.shape
+        # The native loop indexes every buffer below without bounds checks.
+        _check_buffer(batch.positions, np.int64, (n_rows, n_points, 2))
+        _check_buffer(rows, np.int64, (n_rows,))
+        _check_buffer(stream.buffer, np.int8, (n_trials, width))
+        _check_buffer(stream.cursor, np.int64, (n_trials,))
+        _check_buffer(stream.end, np.int64, (n_trials,))
+        _check_buffer(table, np.int64, table.shape)
+        _check_buffer(done_at, np.int64, (n_rows,))
+        _check_buffer(counts_out, np.int64, (n_steps, n_rows))
+        if rows.size and (rows.min() < 0 or rows.max() >= n_trials):
+            raise ValueError("rows must index the stream's trials")
+        pos = batch.positions
+        if side * side != n_nodes or (pos.size and (pos.min() < 0 or pos.max() >= side)):
+            raise ValueError("positions must lie on the side x side grid of n_nodes nodes")
+        if table.size < n_rows * n_nodes or width < batch.max_draws:
+            raise ValueError("epoch table or stream rows too small for the batch")
+        if len(batch.times) != n_times:
+            raise ValueError(f"{batch.kind!r} needs {n_times} event-time array(s)")
+        for times in batch.times:
+            _check_buffer(times, np.int64, (n_trials,))
+        if with_mask:
+            _check_buffer(batch.mask, np.bool_, (n_rows, n_points - batch.n_predators))
+        n_visit = batch.visited.shape[1] if with_visited else 0
+        if with_visited:
+            if n_visit < n_nodes:
+                raise ValueError("the visited table must cover every grid node")
+            _check_buffer(batch.visited, np.bool_, (n_rows, n_visit))
+            _check_buffer(batch.count, np.int64, (n_rows,))
+        null_u8 = ctypes.cast(None, _U8P)
+        null_i64 = ctypes.cast(None, _I64P)
+        return int(
+            self._lib.repro_process_r0_block(
+                ctypes.c_int64(code), ctypes.c_int64(n_rows), ctypes.c_int64(n_points),
+                ctypes.c_int64(batch.n_predators), ctypes.c_int64(1 if batch.preys_move else 0),
+                ctypes.c_int64(side), ctypes.c_int64(n_nodes), ctypes.c_int64(n_visit),
+                ctypes.c_int64(s0),
+                ctypes.c_int64(n_steps), ctypes.c_int64(batch.max_draws), _i64(rows),
+                _i8(stream.buffer), ctypes.c_int64(width), _i64(stream.cursor),
+                _i64(stream.end), _i64(batch.positions),
+                _u8(batch.mask) if with_mask else null_u8,
+                _u8(batch.visited) if with_visited else null_u8,
+                _i64(batch.count) if with_visited else null_i64,
+                _i64(table), ctypes.c_int64(t0),
+                _i64(batch.times[0]),
+                _i64(batch.times[1]) if n_times > 1 else null_i64,
+                _i64(done_at), _i64(counts_out),
             )
         )
 

@@ -3,12 +3,15 @@
 One translation unit, compiled once per source hash by
 :mod:`repro.compiled._cc` into a cached shared object.  Every function is a
 line-for-line translation of the reference kernels in
-:mod:`repro.compiled.kernels_py` (property-tested against them), plus two
+:mod:`repro.compiled.kernels_py` (property-tested against them), plus three
 cc-only extensions the pure-Python/numba providers do not carry:
 
 * ``repro_broadcast_r0_block`` — the fused multi-step broadcast driver for
   the paper's sparse ``r = 0`` regime: flood + count + completion detection
   + mobility apply for a whole pre-drawn block of steps in one call;
+* ``repro_process_r0_block`` — the same for the lazy-walk process kernels
+  (frog, informed coverage, cover time, predator–prey), switching on the
+  kernel kind and reading lazy choices from per-trial flat streams;
 * ``repro_delta_step`` — the edge-diff core of the compiled incremental
   connectivity engine: mover detection, incident-edge removal, around-mover
   candidate generation and min-label union-find over the maintained edge
@@ -37,15 +40,21 @@ static const i64 PROP_DY[5] = {0, 0, 0, 1, -1};
 /* mobility apply kernels                                             */
 /* ------------------------------------------------------------------ */
 
+/* The lazy move rule, in place: point p takes proposal c unless that
+ * leaves the grid or (with a free_mask) lands on a blocked node. */
+static void lazy_move(i64 *p, i64 side, i64 c, const u8 *free_mask)
+{
+    i64 nx = p[0] + PROP_DX[c], ny = p[1] + PROP_DY[c];
+    if (nx >= 0 && nx < side && ny >= 0 && ny < side &&
+        (!free_mask || free_mask[nx * side + ny])) { p[0] = nx; p[1] = ny; }
+}
+
 void repro_apply_lazy(i64 n, i64 side, const i64 *pos, const i64 *choice, i64 *out)
 {
     for (i64 i = 0; i < n; i++) {
-        i64 c = choice[i];
-        i64 x = pos[2 * i], y = pos[2 * i + 1];
-        i64 nx = x + PROP_DX[c], ny = y + PROP_DY[c];
-        if (nx < 0 || nx >= side || ny < 0 || ny >= side) { nx = x; ny = y; }
-        out[2 * i] = nx;
-        out[2 * i + 1] = ny;
+        out[2 * i] = pos[2 * i];
+        out[2 * i + 1] = pos[2 * i + 1];
+        lazy_move(out + 2 * i, side, choice[i], 0);
     }
 }
 
@@ -53,13 +62,9 @@ void repro_apply_masked(i64 n, i64 side, const u8 *free_mask,
                         const i64 *pos, const i64 *choice, i64 *out)
 {
     for (i64 i = 0; i < n; i++) {
-        i64 c = choice[i];
-        i64 x = pos[2 * i], y = pos[2 * i + 1];
-        i64 nx = x + PROP_DX[c], ny = y + PROP_DY[c];
-        if (nx < 0 || nx >= side || ny < 0 || ny >= side ||
-            !free_mask[nx * side + ny]) { nx = x; ny = y; }
-        out[2 * i] = nx;
-        out[2 * i + 1] = ny;
+        out[2 * i] = pos[2 * i];
+        out[2 * i + 1] = pos[2 * i + 1];
+        lazy_move(out + 2 * i, side, choice[i], free_mask);
     }
 }
 
@@ -142,17 +147,8 @@ i64 repro_broadcast_r0_block(i64 A, i64 k, i64 side, i64 n_nodes, i64 steps,
             }
             if (apply_kind == 1 || apply_kind == 2) {
                 const i64 *ch = ichoice + (a * steps + s) * k;
-                for (i64 i = 0; i < k; i++) {
-                    i64 c = ch[i];
-                    i64 x = p[2 * i], y = p[2 * i + 1];
-                    i64 nx = x + PROP_DX[c], ny = y + PROP_DY[c];
-                    if (nx < 0 || nx >= side || ny < 0 || ny >= side ||
-                        (apply_kind == 2 && !free_mask[nx * side + ny])) {
-                        nx = x; ny = y;
-                    }
-                    p[2 * i] = nx;
-                    p[2 * i + 1] = ny;
-                }
+                const u8 *fm = apply_kind == 2 ? free_mask : 0;
+                for (i64 i = 0; i < k; i++) lazy_move(p + 2 * i, side, ch[i], fm);
             } else if (apply_kind == 3) {
                 const double *d = fdisp + (a * steps + s) * k * 2;
                 for (i64 i = 0; i < 2 * k; i++)
@@ -161,6 +157,114 @@ i64 repro_broadcast_r0_block(i64 A, i64 k, i64 side, i64 n_nodes, i64 steps,
         }
     }
     return s;
+}
+
+/*
+ * Fused multi-step r = 0 driver of the lazy-walk process kernels.  kind:
+ * 1 frog, 2 informed coverage, 3 cover time, 4 predator-prey.  Runs steps
+ * s0 .. steps-1 of one block; each step of each unfinished row a does
+ *   1. the co-location interaction through the epoch table (cover: none;
+ *      frog and coverage: flood `mask`; predator-prey: the first kp points
+ *      capture the living preys of `mask`);
+ *   2. the count and the visited marks;
+ *   3. completion bookkeeping;
+ *   4. the lazy moves of that step's movers (cover moves first, then
+ *      marks, like its serial step; a row that completes does not move).
+ * Lazy choices come from per-trial flat streams: row a reads trial
+ * rows[a]'s int8 row `stream + rows[a] * stride` from cursor[rows[a]]
+ * (advanced in place) up to end[rows[a]].  Before each step the call
+ * returns s when some unfinished row holds fewer than `need` values, so
+ * the caller can refill and resume at s; otherwise it returns `steps`, or
+ * the step at which every row had finished.  Step s stamps the epoch
+ * table (A rows of n_nodes) with t0 + s + 1.  mask is (A, P - kp) u8,
+ * visited (A, n_visit) u8 and vcount (A,) its counts; a row is covered
+ * when its count reaches n_visit (the kernel's node count, which may
+ * exceed the grid's).  Event times are absolute (t0 + s) and land in the
+ * full-R arrays time_a / time_b by trial index: activation, broadcast +
+ * coverage, cover (t0 + s + 1) or extinction time.  done_at and
+ * counts_out are as in the broadcast block.
+ */
+i64 repro_process_r0_block(i64 kind, i64 A, i64 P, i64 kp, i64 preys_move,
+                           i64 side, i64 n_nodes, i64 n_visit,
+                           i64 s0, i64 steps, i64 need,
+                           const i64 *rows, const int8_t *stream, i64 stride,
+                           i64 *cursor, const i64 *end,
+                           i64 *pos, u8 *mask, u8 *visited, i64 *vcount,
+                           i64 *table, i64 t0,
+                           i64 *time_a, i64 *time_b, i64 *done_at, i64 *counts_out)
+{
+    i64 m = P - kp;
+    for (i64 s = s0; s < steps; s++) {
+        i64 remaining = 0;
+        for (i64 a = 0; a < A; a++) {
+            if (done_at[a] >= 0) continue;
+            if (end[rows[a]] - cursor[rows[a]] < need) return s;
+            remaining++;
+        }
+        if (remaining == 0) return s;
+        i64 t = t0 + s, epoch = t + 1;
+        for (i64 a = 0; a < A; a++) {
+            i64 *out = counts_out + s * A + a;
+            if (done_at[a] >= 0) { *out = -1; continue; }
+            i64 tr = rows[a];
+            const int8_t *st = stream + tr * stride;
+            i64 cur = cursor[tr];
+            i64 *p = pos + a * P * 2;
+            u8 *mk = mask ? mask + a * m : 0;
+            u8 *vis = visited ? visited + a * n_visit : 0;
+            i64 *tab = table + a * n_nodes;
+            i64 cnt = 0;
+            int done = 0;
+            if (kind == 1 || kind == 2) {
+                for (i64 i = 0; i < P; i++)
+                    if (mk[i]) tab[p[2 * i] * side + p[2 * i + 1]] = epoch;
+                for (i64 i = 0; i < P; i++)
+                    if (tab[p[2 * i] * side + p[2 * i + 1]] == epoch) { mk[i] = 1; cnt++; }
+                *out = cnt;
+                if (kind == 1) {
+                    if (cnt == P) { time_a[tr] = t; done = 1; }
+                } else {
+                    for (i64 i = 0; i < P; i++) {
+                        i64 node = p[2 * i] * side + p[2 * i + 1];
+                        if (mk[i] && !vis[node]) { vis[node] = 1; vcount[a]++; }
+                    }
+                    if (vcount[a] == n_visit && time_b[tr] < 0) time_b[tr] = t;
+                    if (cnt == P && time_a[tr] < 0) time_a[tr] = t;
+                    done = time_a[tr] >= 0 && time_b[tr] >= 0;
+                }
+                if (!done)
+                    for (i64 i = 0; i < P; i++)
+                        if (kind == 2 || mk[i]) lazy_move(p + 2 * i, side, st[cur++], 0);
+            } else if (kind == 3) {
+                for (i64 i = 0; i < P; i++) {
+                    lazy_move(p + 2 * i, side, st[cur++], 0);
+                    i64 node = p[2 * i] * side + p[2 * i + 1];
+                    if (!vis[node]) { vis[node] = 1; vcount[a]++; }
+                }
+                *out = vcount[a];
+                if (vcount[a] == n_visit) { time_a[tr] = t + 1; done = 1; }
+            } else {
+                for (i64 i = 0; i < kp; i++) tab[p[2 * i] * side + p[2 * i + 1]] = epoch;
+                for (i64 j = 0; j < m; j++) {
+                    if (!mk[j]) continue;
+                    i64 *q = p + 2 * (kp + j);
+                    if (tab[q[0] * side + q[1]] == epoch) mk[j] = 0;
+                    else cnt++;
+                }
+                *out = cnt;
+                if (cnt == 0) { time_a[tr] = t; done = 1; }
+                else {
+                    for (i64 i = 0; i < kp; i++) lazy_move(p + 2 * i, side, st[cur++], 0);
+                    if (preys_move)
+                        for (i64 j = 0; j < m; j++)
+                            if (mk[j]) lazy_move(p + 2 * (kp + j), side, st[cur++], 0);
+                }
+            }
+            cursor[tr] = cur;
+            if (done) done_at[a] = s;
+        }
+    }
+    return steps;
 }
 
 /* ------------------------------------------------------------------ */

@@ -2,8 +2,9 @@
 
 A *provider* is an object exposing the compiled kernel set at numpy level
 (``apply_lazy`` / ``apply_masked`` / ``apply_brownian`` / ``flood_r0`` /
-``labels_batch``, plus the cc-only ``broadcast_r0_block`` and
-``delta_step`` extensions flagged by ``has_block_driver`` / ``has_delta``).
+``labels_batch``, plus the cc-only ``broadcast_r0_block`` /
+``process_r0_block`` and ``delta_step`` extensions flagged by
+``has_block_driver`` / ``has_delta``).
 :class:`LoopOps` adapts any namespace of loop kernels with the
 :mod:`repro.compiled.kernels_py` signatures (the jitted numba module or the
 plain-Python reference module itself) to that protocol; the cc provider
@@ -145,20 +146,6 @@ class EpochFloodR0:
         self._ops = ops
         self._table = np.zeros(n_trials * n_nodes, dtype=np.int64)
         self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """The last epoch stamp used (exposed for the fused block driver)."""
-        return self._epoch
-
-    @property
-    def table(self) -> np.ndarray:
-        """The epoch table (exposed for the fused block driver)."""
-        return self._table
-
-    def advance(self, steps: int) -> None:
-        """Account for ``steps`` epochs consumed by the fused block driver."""
-        self._epoch += steps
 
     def flood(self, grid: Any, positions: np.ndarray, informed: np.ndarray) -> np.ndarray:
         self._epoch += 1

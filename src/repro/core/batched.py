@@ -35,11 +35,12 @@ The ``compiled`` flag (``backend="compiled"``) keeps this exact loop and
 draw order but routes the per-step hot kernels — mobility apply, component
 labelling, the ``r = 0`` flood scatter and the incremental edge-diff core —
 through :mod:`repro.compiled`; for ``r = 0`` broadcasts with block-draw
-mobility the whole flood → record → complete → move iteration runs as fused
-multi-step native blocks.  All randomness still comes from the same numpy
-generators in the same order, so ``compiled`` results are bit-for-bit
-identical to ``batched`` and ``serial`` (again property-verified trial for
-trial).
+mobility, and for the ``r = 0`` lazy-walk process kernels (frog, informed
+coverage, cover time, predator–prey), the whole interact → record →
+complete → move iteration runs as fused multi-step native blocks.  All
+randomness still comes from the same numpy generators in the same order, so
+``compiled`` results are bit-for-bit identical to ``batched`` and ``serial``
+(again property-verified trial for trial).
 """
 
 from __future__ import annotations
@@ -420,7 +421,9 @@ def run_process_replications_batched(
     ``compiled`` swaps the labelling passes (and the incremental engine at
     ``radius > 0``) for the active :mod:`repro.compiled` provider's kernels;
     the process kernels keep owning their own draws, so results are again
-    bit-for-bit identical.
+    bit-for-bit identical.  Kernels that expose a ``fused_batch`` run their
+    whole hot loop through the provider's fused block driver instead
+    (:func:`repro.compiled.driver.run_process_r0_fused`) when it has one.
     """
     from repro.connectivity.spatial_hash import neighbor_pairs
 
@@ -462,6 +465,21 @@ def run_process_replications_batched(
         active = active[keep]
     t = 0
     horizon = process.horizon
+    if ops is not None:
+        from repro.compiled.driver import fused_process_supported, run_process_r0_fused
+
+        if fused_process_supported(ops, process, bstate, n_trials):
+            # Whole-loop fused native path for the r = 0 lazy-walk kernels:
+            # interaction -> count/marks -> completion -> moves runs
+            # block-at-a-time in the provider, bit-for-bit with the loop
+            # below (lazy choices come from each trial's own flat stream).
+            step_trials, step_counts, n_steps = run_process_r0_fused(
+                ops, process, bstate, rngs, active, horizon
+            )
+            return _process_results(
+                process, bstate, n_trials, step_trials, step_counts, n_steps
+            )
+
     steps_metric, active_metric = step_loop_instruments("batched_process")
     while active.size and t < horizon:
         steps_metric.inc(int(active.size))
@@ -490,7 +508,17 @@ def run_process_replications_batched(
     active_metric.set(0)
     n_steps[active] = t
     process.finalize(bstate, active)
+    return _process_results(process, bstate, n_trials, step_trials, step_counts, n_steps)
 
+
+def _process_results(
+    process,
+    bstate,
+    n_trials: int,
+    step_trials: list[np.ndarray],
+    step_counts: list[np.ndarray],
+    n_steps: np.ndarray,
+) -> tuple[ReplicationSummary, list]:
     curves = _regroup_curves(n_trials, step_trials, step_counts)
     results = process.build_results(bstate, curves, n_steps)
     summary = summarise_values([getattr(res, process.TIME_FIELD) for res in results])

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Literal, Optional, Sequence
+from typing import Any, Literal, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -161,6 +161,26 @@ class InfectionResult:
 # --------------------------------------------------------------------------- #
 # The contract
 # --------------------------------------------------------------------------- #
+class FusedBatch(NamedTuple):
+    """A process batch as the compiled fused ``r = 0`` block driver sees it.
+
+    The arrays are the batch state's own (compacted) hot arrays and are
+    mutated in place; ``times`` are its full-``R`` event-time arrays, which
+    the block writes by trial index.  ``max_draws`` is the most lazy
+    choices one trial can draw in one step.
+    """
+
+    kind: str
+    positions: np.ndarray
+    max_draws: int
+    mask: Optional[np.ndarray] = None
+    visited: Optional[np.ndarray] = None
+    count: Optional[np.ndarray] = None
+    times: tuple[np.ndarray, ...] = ()
+    n_predators: int = 0
+    preys_move: bool = False
+
+
 class ProcessState:
     """Base class of per-trial serial process state.
 
@@ -270,6 +290,17 @@ class ProcessKernel(abc.ABC):
 
     def finalize(self, bstate: Any, active: np.ndarray) -> None:
         """Record final per-trial observables of the still-active trials."""
+
+    def fused_batch(self, bstate: Any) -> Optional[FusedBatch]:
+        """The batch arrays the fused ``r = 0`` block driver reads and mutates.
+
+        Kernels that interact only through co-location and move by lazy
+        steps return them under their kind (``"frog"``, ``"coverage"``,
+        ``"cover"``, ``"predator_prey"``); the cc provider then runs their
+        hot loop block by block.  ``None`` keeps the per-step
+        ``step_batch`` loop.
+        """
+        return None
 
     @abc.abstractmethod
     def build_results(
@@ -505,6 +536,14 @@ class FrogProcess(_SourceSeededProcess):
     def finalize(self, bstate: _FrogBatch, active: np.ndarray) -> None:
         bstate.final_active[active] = bstate.active_mask.sum(axis=1)
 
+    def fused_batch(self, bstate: _FrogBatch) -> Optional[FusedBatch]:
+        if self.radius != 0:
+            return None
+        return FusedBatch(
+            "frog", bstate.positions, self.n_agents,
+            mask=bstate.active_mask, times=(bstate.activation_time,),
+        )
+
     def build_results(
         self, bstate: _FrogBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[FrogModelResult]:
@@ -733,6 +772,16 @@ class PredatorPreyProcess(ProcessKernel):
     def finalize(self, bstate: _PredatorPreyBatch, active: np.ndarray) -> None:
         bstate.preys_remaining[active] = bstate.alive.sum(axis=1)
 
+    def fused_batch(self, bstate: _PredatorPreyBatch) -> Optional[FusedBatch]:
+        if self.radius != 0:
+            return None
+        return FusedBatch(
+            "predator_prey", bstate.positions,
+            self.n_predators + (self.n_preys if self.preys_move else 0),
+            mask=bstate.alive, times=(bstate.extinction_time,),
+            n_predators=self.n_predators, preys_move=self.preys_move,
+        )
+
     def build_results(
         self, bstate: _PredatorPreyBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[PredatorPreyResult]:
@@ -944,6 +993,15 @@ class CoverProcess(ProcessKernel):
     def finalize(self, bstate: _CoverBatch, active: np.ndarray) -> None:
         bstate.final_count[active] = bstate.count
 
+    def fused_batch(self, bstate: _CoverBatch) -> Optional[FusedBatch]:
+        if self.rule != "lazy":
+            # The simple rule's rejection rounds stay on the per-step loop.
+            return None
+        return FusedBatch(
+            "cover", bstate.positions, self.n_walkers,
+            visited=bstate.visited, count=bstate.count, times=(bstate.cover_time,),
+        )
+
     def build_results(
         self, bstate: _CoverBatch, curves: list[np.ndarray], n_steps: np.ndarray
     ) -> list[CoverTimeResult]:
@@ -1136,6 +1194,15 @@ class InformedCoverageProcess(_SourceSeededProcess):
     def finalize(self, bstate: _InformedCoverageBatch, active: np.ndarray) -> None:
         bstate.final_informed[active] = bstate.informed.sum(axis=1)
         bstate.final_count[active] = bstate.count
+
+    def fused_batch(self, bstate: _InformedCoverageBatch) -> Optional[FusedBatch]:
+        if self.radius != 0:
+            return None
+        return FusedBatch(
+            "coverage", bstate.positions, self.n_agents,
+            mask=bstate.informed, visited=bstate.visited, count=bstate.count,
+            times=(bstate.broadcast_time, bstate.coverage_time),
+        )
 
     def build_results(
         self,

@@ -18,7 +18,8 @@ order the serial ``step`` would, so a batched trial reproduces its serial
 counterpart bit for bit.  Bulk numpy draws preserve this property — e.g.
 ``rng.integers(0, 5, size=(block, k))`` yields the same values as ``block``
 successive draws of size ``k`` — which is what :class:`BlockDrawStepper`
-exploits.
+exploits.  Steppers whose per-step draw count depends on the state read
+one flat :class:`ChoiceStream` per trial instead.
 
 Per-trial auxiliary state (e.g. waypoints) lives in explicit
 :class:`MobilityState` objects created by ``model.init_state`` rather than on
@@ -354,18 +355,66 @@ class BlockDrawStepper(BatchStepper):
         return self._buffer[active, cursor:cursor + m]
 
 
+class ChoiceStream:
+    """Per-trial flat streams of ``rng.integers(low, 5)`` proposal values.
+
+    Steppers whose per-step draw count depends on the state (the simple
+    rule's rejection rounds, the Frog model's ``n_active`` movers, the
+    predator–prey survivors) cannot pre-draw fixed-size blocks.  What a
+    trial consumes is still one flat stream of ``rng.integers(low, 5)``
+    values, and bulk ``integers`` draws equal successive smaller ones, so
+    each trial keeps the next values of its stream in one ``int8`` row of
+    ``buffer``, read from ``cursor`` up to ``end``.  :meth:`refill` tops a
+    trial up with at least ``block`` fresh values; callers read and advance
+    ``cursor`` themselves (vectorised or in native code).
+
+    ``width`` bounds what one read may need: a refill happens only when
+    fewer than ``need <= width`` values are left, so ``block + width``
+    columns always suffice.
+    """
+
+    def __init__(self, rngs: Sequence[RandomState], low: int, block: int, width: int) -> None:
+        if block < 1:
+            raise ValueError(f"block must be positive, got {block}")
+        self._rngs = list(rngs)
+        self._low = int(low)
+        self._block = int(block)
+        self.buffer = np.zeros((len(self._rngs), self._block + int(width)), dtype=np.int8)
+        self.cursor = np.zeros(len(self._rngs), dtype=np.int64)
+        self.end = np.zeros(len(self._rngs), dtype=np.int64)
+
+    def refill(self, trials: np.ndarray, need: np.ndarray | int) -> None:
+        """Top up every trial of ``trials`` holding fewer than ``need`` unread values.
+
+        A short trial's unread values move to the row start and
+        ``max(block, need - unread)`` fresh ones follow them, so afterwards
+        it holds at least ``need``; trials that already do are left alone.
+        """
+        short = self.end[trials] - self.cursor[trials] < need
+        if not short.any():
+            return
+        needs = np.broadcast_to(need, short.shape)[short]
+        for trial, n in zip(trials[short].tolist(), needs.tolist()):
+            cursor, end = int(self.cursor[trial]), int(self.end[trial])
+            rest = end - cursor
+            fresh = self._rngs[trial].integers(self._low, 5, size=max(self._block, n - rest))
+            row = self.buffer[trial]
+            row[:rest] = row[cursor:end]
+            row[rest:rest + fresh.size] = fresh
+            self.cursor[trial] = 0
+            self.end[trial] = rest + fresh.size
+
+
 class SimpleStreamStepper(BatchStepper):
     """Batch stepper of the *simple* rule, bit-for-bit with :func:`simple_step`.
 
     The rejection loop of :func:`simple_step` draws a data-dependent number
     of values per step, so fixed-size blocks cannot be pre-drawn for it.
-    What a trial consumes is still one flat stream of ``rng.integers(1, 5)``
-    values, taken round by round (one value per still-pending agent, agents
-    in index order).  Bulk ``integers`` draws equal successive smaller
-    ones, so each trial keeps a buffer of the next values of its stream and
-    a cursor into it.  The rejection rounds are vectorised over the whole
-    compacted batch; a trial whose buffer cannot serve the current round
-    refills it (at least ``block`` fresh values) before the round draws.
+    What a trial consumes is one flat :class:`ChoiceStream` of
+    ``rng.integers(1, 5)`` values, taken round by round (one value per
+    still-pending agent, agents in index order).  The rejection rounds are
+    vectorised over the whole compacted batch; a trial whose stream cannot
+    serve the current round refills it before the round draws.
     """
 
     def __init__(self, grid: Grid2D, rngs: Sequence[RandomState], block: int = 256) -> None:
@@ -375,44 +424,27 @@ class SimpleStreamStepper(BatchStepper):
         self._side = grid.side
         self._rngs = list(rngs)
         self._block = int(block)
-        self._buffer: np.ndarray | None = None
-        self._cursor = np.zeros(len(self._rngs), dtype=np.int64)
-        self._end = np.zeros(len(self._rngs), dtype=np.int64)
-
-    def _refill(self, trials: np.ndarray, need: np.ndarray) -> None:
-        assert self._buffer is not None
-        for trial, n in zip(trials.tolist(), need.tolist()):
-            cursor, end = int(self._cursor[trial]), int(self._end[trial])
-            rest = end - cursor
-            fresh = self._rngs[trial].integers(1, 5, size=max(self._block, n - rest))
-            row = self._buffer[trial]
-            row[:rest] = row[cursor:end]
-            row[rest:rest + fresh.size] = fresh
-            self._cursor[trial] = 0
-            self._end[trial] = rest + fresh.size
+        self._stream: ChoiceStream | None = None
 
     def step(self, positions: np.ndarray, active: np.ndarray) -> np.ndarray:
         positions = np.asarray(positions, dtype=np.int64)
         n_rows, k = positions.shape[:2]
-        if self._buffer is None:
-            # A round needs at most k values and a refill keeps fewer than
-            # k old ones, so block + k columns always suffice.
-            self._buffer = np.zeros((len(self._rngs), self._block + k), dtype=np.int8)
+        if self._stream is None:
+            # A round needs at most k values per trial.
+            self._stream = ChoiceStream(self._rngs, 1, self._block, k)
+        stream = self._stream
         current = positions.reshape(-1, 2)
         result = current.copy()
         pending = np.arange(n_rows * k)
         while pending.size:
             rows = pending // k
             counts = np.bincount(rows, minlength=n_rows)
-            cursor = self._cursor[active]
-            short = self._end[active] - cursor < counts
-            if short.any():
-                self._refill(active[short], counts[short])
-                cursor = self._cursor[active]
+            stream.refill(active, counts)
+            cursor = stream.cursor[active]
             # Rank of each pending agent among its trial's pending agents.
             rank = np.arange(pending.size) - (np.cumsum(counts) - counts)[rows]
-            choice = self._buffer[active[rows], cursor[rows] + rank]
-            self._cursor[active] = cursor + counts
+            choice = stream.buffer[active[rows], cursor[rows] + rank]
+            stream.cursor[active] = cursor + counts
             proposed = current[pending] + PROPOSALS[choice]
             inside = np.all((proposed >= 0) & (proposed < self._side), axis=1)
             result[pending[inside]] = proposed[inside]

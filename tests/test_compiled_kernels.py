@@ -32,6 +32,7 @@ from repro.grid.lattice import Grid2D
 from repro.mobility import make_mobility
 from repro.mobility.kernels import (
     BlockDrawStepper,
+    ChoiceStream,
     apply_lazy_choices,
     apply_masked_choices,
 )
@@ -184,6 +185,49 @@ class TestNextDraws:
                 active = active[1:]
                 ref_pos = ref_pos[1:]
                 bulk_pos = bulk_pos[1:]
+
+
+# --------------------------------------------------------------------------- #
+# Flat lazy-choice streams: the contract of the fused process driver
+# --------------------------------------------------------------------------- #
+draw_sizes = st.lists(st.integers(0, 40), min_size=1, max_size=25)
+
+
+class TestChoiceStream:
+    @settings(max_examples=max_examples(30), deadline=None)
+    @given(seed=seeds, sizes=draw_sizes)
+    def test_successive_draws_equal_one_bulk_draw(self, seed, sizes):
+        """``integers(0, 5)`` draws of any sizes (0 and odd ones too) are the
+        consecutive slices of one bulk draw of their total size."""
+        rng = np.random.default_rng(seed)
+        pieces = [rng.integers(0, 5, size=n) for n in sizes]
+        bulk = np.random.default_rng(seed).integers(0, 5, size=sum(sizes))
+        assert np.array_equal(np.concatenate(pieces), bulk)
+
+    @settings(max_examples=max_examples(30), deadline=None)
+    @given(seed=seeds, sizes=draw_sizes, block=st.integers(1, 50), data=st.data())
+    def test_stream_hands_out_the_bulk_draw(self, seed, sizes, block, data):
+        """Reads of any sizes from a :class:`ChoiceStream`, refilled at
+        whatever cursor a read finds (a no-op unless it would run short),
+        hand out exactly one bulk draw, per trial independently."""
+        width = max(sizes)
+        rngs = [np.random.default_rng([seed, t]) for t in range(2)]
+        stream = ChoiceStream(rngs, 0, block, width)
+        served: list[list[np.ndarray]] = [[], []]
+        for n in sizes:
+            trial = data.draw(st.integers(0, 1), label="trial")
+            trials = np.array([trial])
+            short = stream.end[trial] - stream.cursor[trial] < n
+            if short or data.draw(st.booleans(), label="refill anyway"):
+                stream.refill(trials, n)
+            cursor = int(stream.cursor[trial])
+            assert stream.end[trial] - cursor >= n
+            served[trial].append(stream.buffer[trial, cursor:cursor + n].astype(np.int64))
+            stream.cursor[trial] = cursor + n
+        for trial in range(2):
+            got = np.concatenate([np.empty(0, dtype=np.int64), *served[trial]])
+            bulk = np.random.default_rng([seed, trial]).integers(0, 5, size=got.size)
+            assert np.array_equal(got, bulk)
 
 
 # --------------------------------------------------------------------------- #

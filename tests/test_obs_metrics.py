@@ -14,6 +14,14 @@ import json
 
 import pytest
 
+import repro.compiled
+from repro.dissemination.kernels import (
+    CoverProcess,
+    FrogProcess,
+    InformedCoverageProcess,
+    PredatorPreyProcess,
+    run_process_replications,
+)
 from repro.obs import (
     Counter,
     Gauge,
@@ -219,6 +227,47 @@ class TestStepLoopInstruments:
         result = BroadcastSimulation(config, rng=3).run()
         assert steps.value == before + result.n_steps
         assert active.value == 0  # cleared after the run
+
+
+@pytest.mark.skipif(
+    not repro.compiled.available(), reason="no repro.compiled provider on this host"
+)
+class TestFusedLoopStepCounting:
+    """The fused ``r = 0`` drivers count trial-steps like the per-step loops."""
+
+    def test_fused_broadcast_counts_every_trial_step(self):
+        from repro.core import BroadcastConfig
+        from repro.core.runner import run_broadcast_replications
+
+        steps, active = step_loop_instruments("batched_broadcast")
+        config = BroadcastConfig(n_nodes=256, n_agents=8, radius=0.0)
+        counted = {}
+        for backend in ("batched", "compiled"):
+            before = steps.value
+            _, results = run_broadcast_replications(config, 4, seed=1, backend=backend)
+            counted[backend] = steps.value - before
+            assert active.value == 0
+        assert counted["compiled"] == counted["batched"] == sum(r.n_steps for r in results)
+
+    @pytest.mark.parametrize(
+        "process",
+        [
+            FrogProcess(64, 5, max_steps=300),
+            CoverProcess(5, 2, 200),
+            PredatorPreyProcess(64, 3, 4),
+            InformedCoverageProcess(49, 4),
+        ],
+        ids=lambda p: p.name,
+    )
+    def test_fused_process_counts_every_trial_step(self, process):
+        steps, active = step_loop_instruments("batched_process")
+        counted = {}
+        for backend in ("batched", "compiled"):
+            before = steps.value
+            _, results = run_process_replications(process, 5, seed=2, backend=backend)
+            counted[backend] = steps.value - before
+            assert active.value == 0
+        assert counted["compiled"] == counted["batched"] == sum(r.n_steps for r in results)
 
 
 # --------------------------------------------------------------------------- #
