@@ -298,9 +298,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         experiment_ids = [args.experiment.upper()]
     # One executor (and worker pool) for the whole run: `run all --jobs N`
-    # must not pay a pool spin-up per experiment.  run_experiment's own
-    # executor arguments stay at their defaults, which leave this ambient
-    # override in charge.
+    # must not pay a pool spin-up per experiment.
     executor = SweepExecutor.from_options(
         jobs=args.jobs, chunk_size=args.chunk_size, store=args.resume,
         retries=args.retries, unit_timeout=args.unit_timeout,
@@ -319,12 +317,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         progress_logging(args.log_json) if args.log_json else nullcontext()
     )
     reports: list[ExperimentReport] = []
-    with logging_context, execution_override(executor):
+    options = execution_override(
+        executor, backend=args.backend, connectivity=args.connectivity
+    )
+    with logging_context, options:
         for experiment_id in experiment_ids:
-            report = run_experiment(
-                experiment_id, scale=args.scale, seed=args.seed,
-                backend=args.backend, connectivity=args.connectivity,
-            )
+            report = run_experiment(experiment_id, scale=args.scale, seed=args.seed)
             reports.append(report)
             print(report.render())
             print()

@@ -22,7 +22,6 @@ from repro.core.metrics import FrontierTracker, CoverageTracker, InformedCurve
 from repro.core.runner import (
     ReplicationSummary,
     StreamingReplicationSummary,
-    backend_override,
     resolve_backend,
     run_broadcast_replications,
     run_gossip_replications,
@@ -53,7 +52,6 @@ __all__ = [
     "ReplicationSummary",
     "StreamingReplicationSummary",
     "summarise_values",
-    "backend_override",
     "resolve_backend",
     "run_broadcast_replications",
     "run_gossip_replications",

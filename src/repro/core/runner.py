@@ -23,8 +23,13 @@ All backends consume identical per-trial random streams (derived with
 so the choice is purely a performance knob.  See ``docs/PERFORMANCE.md``
 and ``docs/COMPILED.md``.
 
-Orthogonally to the backend, an active
-:func:`repro.exec.execution_override` shards every replication run into
+Run options are set in one place and resolved in one place.
+:func:`repro.exec.execution_override` is the one writer of the
+context-local :class:`RunOptions` (backend, connectivity engine,
+executor); :func:`resolve_backend` and :func:`resolve_connectivity` are the
+one resolver of each choice, for simulation configs and process kernels
+alike (explicit argument > innermost context > config field > ``"auto"``
+pick).  An active executor shards every replication run into
 (sweep-point × replication-chunk) work units executed in process or over a
 process pool — with per-trial streams re-derived deterministically, so the
 sharded path is also bit-for-bit identical to the plain one.  Because each
@@ -36,14 +41,16 @@ records a fault-free run would produce.  See ``docs/PARALLEL.md``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:
     from repro.analysis.statistics import ReplicationAggregate
+    from repro.dissemination.kernels import ProcessKernel
+    from repro.exec.executor import SweepExecutor
 
 from repro.core.config import (
     BroadcastConfig,
@@ -230,131 +237,102 @@ def replicate(
     return summarise_values(values)
 
 
-#: Process-wide backend override installed by :func:`backend_override`.
-_BACKEND_OVERRIDE: Optional[str] = None
+@dataclass(frozen=True)
+class RunOptions:
+    """How replication runs execute; never what they compute.
 
-
-@contextmanager
-def backend_override(backend: Optional[str]) -> Iterator[None]:
-    """Force every replication run in the ``with`` block onto ``backend``.
-
-    This is how the command line's ``--backend`` flag reaches experiments
-    that build their configs internally: the override takes precedence over
-    each config's ``backend`` field (but not over an explicit ``backend``
-    argument passed to a ``run_*_replications`` call).  ``None`` is a no-op;
-    ``"auto"`` re-enables per-config auto-selection.  As with an explicit
-    argument, forcing ``"batched"`` onto an unsupported configuration raises
-    rather than silently falling back — use ``"auto"`` to pick the batched
-    path only where it applies.
+    ``backend`` and ``connectivity`` force every run in scope onto one
+    backend / engine (``None``: each config's own field decides) and
+    ``executor`` shards runs through a :class:`~repro.exec.SweepExecutor`
+    (``None``: inline).  Every combination is bit-for-bit identical.
     """
-    global _BACKEND_OVERRIDE
-    if backend is not None:
-        check_backend(backend)
-    previous = _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = backend
-    try:
-        yield
-    finally:
-        _BACKEND_OVERRIDE = previous
+
+    backend: Optional[str] = None
+    connectivity: Optional[str] = None
+    executor: Optional[SweepExecutor] = None
 
 
-def current_backend_override() -> Optional[str]:
-    """The backend forced by an enclosing :func:`backend_override`, if any.
+#: The one run-options context.  Its only writer is
+#: :func:`repro.exec.execution_override`; being context-local, each thread
+#: sees its own options and no block can leak into another.
+_RUN_OPTIONS: ContextVar[RunOptions] = ContextVar(
+    "repro_run_options", default=RunOptions()
+)
 
-    Exposed for runners outside this module (e.g. the dissemination
-    process-kernel runner) that must honour the CLI's ``--backend`` flag.
-    """
-    return _BACKEND_OVERRIDE
+
+def current_run_options() -> RunOptions:
+    """The :class:`RunOptions` of the innermost active ``execution_override``."""
+    return _RUN_OPTIONS.get()
 
 
 def resolve_backend(
-    config: BroadcastConfig | GossipConfig, backend: Optional[str] = None
+    target: BroadcastConfig | GossipConfig | ProcessKernel, backend: Optional[str] = None
 ) -> str:
     """Resolve the effective backend (``"serial"``, ``"batched"`` or ``"compiled"``).
 
-    ``backend`` overrides the config's ``backend`` field (as does an active
-    :func:`backend_override` block); ``"auto"`` picks, among the backends the
-    configuration supports, the compiled one when a :mod:`repro.compiled`
-    provider is available on this host and the batched one otherwise.  An
-    explicit ``"batched"``/``"compiled"`` request for an unsupported
-    configuration (or, for ``"compiled"``, a host without any provider)
-    raises when the runner is invoked, rather than silently falling back.
+    ``target`` is a simulation config or a
+    :class:`~repro.dissemination.kernels.ProcessKernel`.  The first of these
+    that is set decides: the ``backend`` argument, the active
+    :func:`~repro.exec.execution_override`, the config's ``backend`` field
+    (``"auto"`` for a process kernel).  ``"auto"`` picks, among the backends
+    the target supports (every process kernel supports all three), the
+    compiled one when a :mod:`repro.compiled` provider is available on this
+    host and the batched one otherwise.  An explicit
+    ``"batched"``/``"compiled"`` request for an unsupported configuration
+    (or, for ``"compiled"``, a host without any provider) raises when the
+    runner is invoked, rather than silently falling back.
     """
     from repro.core.batched import supports_batched_broadcast, supports_batched_gossip
 
-    if backend is None:
-        backend = _BACKEND_OVERRIDE
-    choice = check_backend(backend if backend is not None else config.backend)
+    choice = check_backend(
+        _first_set(backend, current_run_options().backend, getattr(target, "backend", "auto"))
+    )
     if choice != "auto":
         return choice
-    if isinstance(config, BroadcastConfig):
-        supported = supports_batched_broadcast(config)
-    else:
-        supported = supports_batched_gossip(config)
-    if not supported:
+    if isinstance(target, BroadcastConfig) and not supports_batched_broadcast(target):
+        return "serial"
+    if isinstance(target, GossipConfig) and not supports_batched_gossip(target):
         return "serial"
     from repro.compiled import available as compiled_available
 
     return "compiled" if compiled_available() else "batched"
 
 
-#: Process-wide connectivity override installed by :func:`connectivity_override`.
-_CONNECTIVITY_OVERRIDE: Optional[str] = None
-
-
-@contextmanager
-def connectivity_override(connectivity: Optional[str]) -> Iterator[None]:
-    """Force every simulation in the ``with`` block onto a connectivity engine.
-
-    Mirrors :func:`backend_override`: this is how the command line's
-    ``--connectivity`` flag reaches experiments that build their configs
-    internally.  The override takes precedence over each config's
-    ``connectivity`` field (but not over an explicit ``connectivity``
-    argument passed to a ``run_*_replications`` call).  ``None`` is a no-op;
-    ``"auto"`` re-enables per-config auto-selection.
-    """
-    global _CONNECTIVITY_OVERRIDE
-    if connectivity is not None:
-        check_connectivity(connectivity)
-    previous = _CONNECTIVITY_OVERRIDE
-    _CONNECTIVITY_OVERRIDE = connectivity
-    try:
-        yield
-    finally:
-        _CONNECTIVITY_OVERRIDE = previous
-
-
-def current_connectivity_override() -> Optional[str]:
-    """The engine forced by an enclosing :func:`connectivity_override`, if any."""
-    return _CONNECTIVITY_OVERRIDE
-
-
 def resolve_connectivity(
-    config: BroadcastConfig | GossipConfig, connectivity: Optional[str] = None
+    target: BroadcastConfig | GossipConfig | ProcessKernel, connectivity: Optional[str] = None
 ) -> str:
     """Resolve the effective engine (``"recompute"`` or ``"incremental"``).
 
-    ``connectivity`` overrides the config's ``connectivity`` field (as does
-    an active :func:`connectivity_override` block).  ``"auto"`` picks the
-    incremental engine where it is the faster choice: every radius below 2
-    (the same-cell fast path at ``r = 0`` and the one-node-per-cell delta
-    engine up to ``r = 1``); larger radii keep the recompute path, whose
-    bucket-level candidate expansion wins once cells span several nodes and
-    the edge set is dense.  Both engines produce bit-for-bit identical
-    simulation results, so the choice is purely a performance knob.
+    Precedence as in :func:`resolve_backend`: the ``connectivity``
+    argument, then the active :func:`~repro.exec.execution_override`, then
+    the config's ``connectivity`` field (``"auto"`` for a process kernel).
+    ``"auto"`` picks the incremental engine where it is the faster choice:
+    for label-consuming targets (every simulation, and process kernels whose
+    ``needs`` is ``"labels"``) at every radius below 2 (the same-cell fast
+    path at ``r = 0`` and the one-node-per-cell delta engine up to
+    ``r = 1``); larger radii keep the recompute path, whose bucket-level
+    candidate expansion wins once cells span several nodes and the edge set
+    is dense.  Pair- and connectivity-free kernels have no label engine to
+    maintain, so both choices are the same computation for them.  Engines
+    are bit-for-bit interchangeable: the choice is purely a performance
+    knob.
     """
-    from repro.connectivity.incremental import supports_incremental_connectivity
-
-    if connectivity is None:
-        connectivity = _CONNECTIVITY_OVERRIDE
     choice = check_connectivity(
-        connectivity if connectivity is not None else config.connectivity
+        _first_set(
+            connectivity,
+            current_run_options().connectivity,
+            getattr(target, "connectivity", "auto"),
+        )
     )
     if choice != "auto":
         return choice
-    if supports_incremental_connectivity(config) and config.radius < 2:
+    if getattr(target, "needs", "labels") == "labels" and target.radius < 2:
         return "incremental"
     return "recompute"
+
+
+def _first_set(*values: Optional[str]) -> str:
+    return next(value for value in values if value is not None)
 
 
 def check_rng_streams(rng_streams: Optional[Sequence], n_replications: int) -> None:
@@ -394,16 +372,13 @@ def run_broadcast_replications(
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
     engine = resolve_connectivity(config, connectivity)
-    if rng_streams is None:
-        from repro.exec.executor import current_executor
-
-        executor = current_executor()
-        if executor is not None:
-            return executor.run_replications(
-                "broadcast", config, n_replications, seed,
-                backend=resolve_backend(config, backend),
-                connectivity=engine,
-            )
+    executor = current_run_options().executor
+    if rng_streams is None and executor is not None:
+        return executor.run_replications(
+            "broadcast", config, n_replications, seed,
+            backend=resolve_backend(config, backend),
+            connectivity=engine,
+        )
     resolved = resolve_backend(config, backend)
     if resolved in ("batched", "compiled"):
         from repro.core.batched import run_broadcast_replications_batched
@@ -442,16 +417,13 @@ def run_gossip_replications(
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
     engine = resolve_connectivity(config, connectivity)
-    if rng_streams is None:
-        from repro.exec.executor import current_executor
-
-        executor = current_executor()
-        if executor is not None:
-            return executor.run_replications(
-                "gossip", config, n_replications, seed,
-                backend=resolve_backend(config, backend),
-                connectivity=engine,
-            )
+    executor = current_run_options().executor
+    if rng_streams is None and executor is not None:
+        return executor.run_replications(
+            "gossip", config, n_replications, seed,
+            backend=resolve_backend(config, backend),
+            connectivity=engine,
+        )
     resolved = resolve_backend(config, backend)
     if resolved in ("batched", "compiled"):
         from repro.core.batched import run_gossip_replications_batched

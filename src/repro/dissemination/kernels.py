@@ -49,13 +49,14 @@ import numpy as np
 
 from repro.connectivity.spatial_hash import neighbor_pairs
 from repro.connectivity.visibility import visibility_components
-from repro.core.config import check_backend, check_connectivity, default_max_steps
+from repro.core.config import default_max_steps
 from repro.core.protocol import flood_informed, flood_informed_batch
 from repro.core.runner import (
     ReplicationSummary,
     check_rng_streams,
-    current_backend_override,
-    current_connectivity_override,
+    current_run_options,
+    resolve_backend,
+    resolve_connectivity,
     summarise_values,
 )
 from repro.grid.lattice import Grid2D
@@ -1370,46 +1371,6 @@ def make_process(name: str, **kwargs: Any) -> ProcessKernel:
     return cls(**kwargs)
 
 
-def resolve_process_backend(process: ProcessKernel, backend: Optional[str] = None) -> str:
-    """Resolve the effective replication backend for a process run.
-
-    Mirrors :func:`repro.core.runner.resolve_backend`: an explicit argument
-    wins, then an active :func:`~repro.core.runner.backend_override`, then
-    ``"auto"`` — the compiled batched path when a :mod:`repro.compiled`
-    provider is available on this host, else plain batched (every registered
-    process kernel implements the batched face of the contract).
-    """
-    if backend is None:
-        backend = current_backend_override()
-    choice = check_backend(backend if backend is not None else "auto")
-    if choice != "auto":
-        return choice
-    from repro.compiled import available as compiled_available
-
-    return "compiled" if compiled_available() else "batched"
-
-
-def resolve_process_connectivity(
-    process: ProcessKernel, connectivity: Optional[str] = None
-) -> str:
-    """Resolve the effective connectivity engine for a process run.
-
-    ``"auto"`` picks the incremental engine exactly where the simulation
-    core does — label-consuming processes below radius 2 — and the
-    recompute path everywhere else.  Pair- and connectivity-free kernels
-    have no label engine to maintain, so for them both resolved choices are
-    the same computation (and trivially result-identical).
-    """
-    if connectivity is None:
-        connectivity = current_connectivity_override()
-    choice = check_connectivity(connectivity if connectivity is not None else "auto")
-    if choice != "auto":
-        return choice
-    if process.needs == "labels" and process.radius < 2:
-        return "incremental"
-    return "recompute"
-
-
 def run_process_replications(
     process: ProcessKernel,
     n_replications: int,
@@ -1426,28 +1387,28 @@ def run_process_replications(
     selects serial, batched or compiled execution (default ``"auto"`` —
     compiled when a provider is available, else batched, both of which
     every kernel supports), ``connectivity`` selects the component-labelling
-    engine for label-consuming kernels, and both honour the process-wide
-    ``backend_override`` / ``connectivity_override`` blocks the CLI flags
-    install.  ``rng_streams`` supplies explicit per-trial generators (the
-    executor's chunked work units use this); without it, an active
-    :func:`repro.exec.execution_override` shards the run into ``"process"``
-    work units.  Every execution path is bit-for-bit identical for identical
+    engine for label-consuming kernels; both are resolved by
+    :func:`~repro.core.runner.resolve_backend` /
+    :func:`~repro.core.runner.resolve_connectivity`, so they honour an
+    active :func:`repro.exec.execution_override` (the CLI flags).
+    ``rng_streams`` supplies explicit per-trial generators (the executor's
+    chunked work units use this); without it, an active executor shards the
+    run into ``"process"`` work units.  Every execution path is bit-for-bit identical for identical
     seeds.
     """
     n_replications = check_positive_int(n_replications, "n_replications")
     check_rng_streams(rng_streams, n_replications)
-    engine = resolve_process_connectivity(process, connectivity)
-    resolved_backend = resolve_process_backend(process, backend)
-    if rng_streams is None:
-        from repro.exec.executor import current_executor
-
-        executor = current_executor()
-        if executor is not None:
-            return executor.run_process(
-                process, n_replications, seed,
-                backend=resolved_backend,
-                connectivity=engine,
-            )
+    engine = resolve_connectivity(process, connectivity)
+    resolved_backend = resolve_backend(process, backend)
+    executor = current_run_options().executor
+    if rng_streams is None and executor is not None:
+        return executor.run_process(
+            process,
+            n_replications,
+            seed,
+            backend=resolved_backend,
+            connectivity=engine,
+        )
     if resolved_backend in ("batched", "compiled"):
         from repro.core.batched import run_process_replications_batched
 

@@ -8,9 +8,10 @@ Public surface of the ``repro.exec`` subsystem:
   the records back;
 * :class:`ResultStore` — the on-disk record store that makes interrupted
   sweeps resumable;
-* :func:`execution_override` / :func:`current_executor` — the ambient
-  override through which ``--jobs`` / ``--resume`` reach every experiment's
-  replication loops;
+* :func:`execution_override` / :func:`current_executor` — the one
+  run-options context (executor, backend, connectivity engine) through
+  which ``--jobs`` / ``--resume`` / ``--backend`` / ``--connectivity``
+  reach every experiment's replication loops;
 * :func:`map_replications` — the executor-aware per-trial map experiments
   use for custom (non broadcast/gossip) replication loops;
 * :class:`WorkUnit` / :func:`unit_key` / :class:`SeedStreamSpec` — the

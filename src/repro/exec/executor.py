@@ -34,10 +34,10 @@ requeues and lease steals merges exactly the records a fault-free ``jobs=1``
 run produces.  A per-run :class:`ExecutionReport` makes the recovery work
 observable.
 
-The context-local override installed by :func:`execution_override` is how
-``--jobs`` reaches the replication runners inside experiments without
-per-experiment plumbing, mirroring
-:func:`repro.core.runner.backend_override`.
+:func:`execution_override` installs the executor in the one run-options
+context (:class:`repro.core.runner.RunOptions`, beside the backend and
+connectivity choices): that is how ``--jobs`` reaches the replication
+runners inside experiments without per-experiment plumbing.
 
 Remote dispatch (``dispatch="remote"``) embeds an HTTP coordinator
 (:mod:`repro.exec.remote`) instead of a process pool: remotable units are
@@ -58,13 +58,14 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.analysis.statistics import ReplicationAggregate
+from repro.core.config import check_backend, check_connectivity
+from repro.core.runner import _RUN_OPTIONS, RunOptions, current_run_options
 from repro.exec.faults import FaultPlan, corrupt_record
 from repro.exec.leases import DEFAULT_LEASE_TTL, LeaseTable
 from repro.exec.seeds import SeedStreamSpec
@@ -1572,52 +1573,61 @@ def _config_label(kind: str, config: Any) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# The ambient override (how --jobs reaches experiments' inner loops).
+# The run-options context (how --jobs/--backend/--connectivity reach runs).
 # --------------------------------------------------------------------------- #
-#: Context-local rather than a plain module global so that in-process remote
-#: workers (threads running :func:`execute_unit` while the main thread holds
-#: an :func:`execution_override`) neither see the main thread's executor nor
-#: race its install/restore.  Pool workers are separate processes and start
-#: from the default (``None``) either way.
-_EXECUTOR: ContextVar[Optional[SweepExecutor]] = ContextVar(
-    "repro_exec_executor", default=None
-)
-
-
 @contextmanager
-def execution_override(executor: Optional[SweepExecutor]) -> Iterator[None]:
-    """Route replication runs inside the ``with`` block through ``executor``.
+def execution_override(
+    executor: Optional[SweepExecutor] = None,
+    *,
+    backend: Optional[str] = None,
+    connectivity: Optional[str] = None,
+) -> Iterator[None]:
+    """Set the run options of every replication run inside the ``with`` block.
 
-    ``None`` is a true no-op: an executor installed by an enclosing block
-    stays active.  The executor's worker pool is shut down when the block
-    exits.  Mirrors :func:`repro.core.runner.backend_override`: this is how
-    the command line's ``--jobs`` / ``--resume`` flags reach experiments
-    that drive their replications internally.
+    ``executor`` shards runs through a :class:`SweepExecutor`; ``backend``
+    and ``connectivity`` force every run onto one backend / connectivity
+    engine, ahead of each config's own field but behind an explicit
+    argument to a ``run_*_replications`` call (``"auto"`` re-enables the
+    per-config pick).  A ``None`` field inherits from the enclosing block,
+    so ``execution_override()`` is a no-op.  Only an executor this block
+    installed is closed when it exits.  This is how the command line's
+    flags reach experiments that drive their replications internally.  The
+    options are context-local: each thread (an in-process remote worker,
+    say) sees its own.
     """
-    if executor is None:
-        yield
-        return
-    token = _EXECUTOR.set(executor)
+    if backend is not None:
+        check_backend(backend)
+    if connectivity is not None:
+        check_connectivity(connectivity)
+    outer = current_run_options()
+    token = _RUN_OPTIONS.set(
+        RunOptions(
+            backend=outer.backend if backend is None else backend,
+            connectivity=outer.connectivity if connectivity is None else connectivity,
+            executor=outer.executor if executor is None else executor,
+        )
+    )
     try:
         yield
     finally:
-        _EXECUTOR.reset(token)
-        executor.close()
+        _RUN_OPTIONS.reset(token)
+        if executor is not None:
+            executor.close()
 
 
 @contextmanager
 def _suspended_override() -> Iterator[None]:
-    """Temporarily clear the executor override (worker recursion guard)."""
-    token = _EXECUTOR.set(None)
+    """Temporarily clear the executor (worker recursion guard)."""
+    token = _RUN_OPTIONS.set(replace(current_run_options(), executor=None))
     try:
         yield
     finally:
-        _EXECUTOR.reset(token)
+        _RUN_OPTIONS.reset(token)
 
 
 def current_executor() -> Optional[SweepExecutor]:
     """The active :class:`SweepExecutor`, or ``None``."""
-    return _EXECUTOR.get()
+    return current_run_options().executor
 
 
 def map_replications(

@@ -5,8 +5,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.analysis.report import ExperimentReport
-from repro.core.runner import backend_override, connectivity_override
-from repro.exec import SweepExecutor, execution_override
 from repro.experiments import (
     e01_broadcast_vs_k,
     e02_broadcast_vs_n,
@@ -71,55 +69,16 @@ def _module_for(experiment_id: str):
 
 
 def run_experiment(
-    experiment_id: str,
-    scale: str = "small",
-    seed: SeedLike = 0,
-    backend: str | None = None,
-    connectivity: str | None = None,
-    jobs: int = 1,
-    resume: str | None = None,
-    chunk_size: int | None = None,
-    retries: int = 0,
-    unit_timeout: float | None = None,
-    aggregate: str = "buffered",
+    experiment_id: str, scale: str = "small", seed: SeedLike = 0
 ) -> ExperimentReport:
     """Run the experiment with the given id at the given scale.
 
-    ``backend`` (``"serial"``, ``"batched"``, ``"compiled"`` or ``"auto"``)
-    forces every replication run inside the experiment onto that backend via
-    :func:`repro.core.runner.backend_override`; ``None`` keeps each config's
-    own choice.  Backends are bit-for-bit interchangeable (``"compiled"``
-    requires a :mod:`repro.compiled` provider on the host).  ``connectivity`` (``"recompute"``, ``"incremental"`` or
-    ``"auto"``) does the same for the component-labelling engine via
-    :func:`repro.core.runner.connectivity_override`; engines are bit-for-bit
-    interchangeable, so this is purely a performance knob.
-
-    ``jobs``, ``resume`` and ``chunk_size`` configure the sharded executor
-    (see ``docs/PARALLEL.md``): ``jobs > 1`` fans replication chunks out
-    over worker processes, ``resume`` names a result-store directory whose
-    completed work units are skipped, and ``chunk_size`` overrides the
-    default replications-per-unit.  ``retries`` grants every work unit that
-    many re-executions after a failure, and ``unit_timeout`` caps a unit's
-    wall clock (pooled execution only) — since units are deterministic, a
-    retried run still reports bit-for-bit identical results.  The defaults
-    (``1``/``None``/``None``/``0``/``None``) keep the classic in-process
-    path; either way the report is bit-for-bit identical.
-
-    ``aggregate="streaming"`` folds replication records into mergeable
-    streaming accumulators instead of buffering per-trial values and result
-    objects (O(1) memory per sweep point; see ``docs/OBSERVABILITY.md``).
-    Summaries then expose scalar statistics only — experiments that read the
-    raw per-trial arrays raise a clear error under streaming, so it is
-    strictly opt-in; the default ``"buffered"`` path is bit-for-bit
-    unchanged.
+    How its replications execute (the backend, the connectivity engine and
+    the sharded executor behind ``--backend``, ``--connectivity`` and
+    ``--jobs``) is set by an enclosing :func:`repro.exec.execution_override`
+    block, not here.  Every such choice is bit-for-bit interchangeable, so
+    the report depends only on the id, the scale and the seed.
     """
     module = _module_for(experiment_id)
     runner: Callable[..., ExperimentReport] = module.run
-    executor = SweepExecutor.from_options(
-        jobs=jobs, chunk_size=chunk_size, store=resume,
-        retries=retries, unit_timeout=unit_timeout,
-        aggregate=aggregate,
-    )
-    with backend_override(backend), connectivity_override(connectivity), \
-            execution_override(executor):
-        return runner(scale=scale, seed=seed)
+    return runner(scale=scale, seed=seed)

@@ -191,8 +191,8 @@ def run_barrier_broadcast_replications(
     mobility, so it is dispatched through
     :func:`repro.core.runner.run_broadcast_replications` with
     ``mobility="obstacle_walk"`` and inherits the batched backend (the
-    ``backend`` argument and :func:`repro.core.runner.backend_override` both
-    apply).  Only line-of-sight configurations fall back to one serial
+    ``backend`` argument and an active :func:`repro.exec.execution_override`
+    both apply).  Only line-of-sight configurations fall back to one serial
     :class:`BarrierBroadcastSimulation` per trial; per-trial results are
     bit-for-bit identical between the two routes for identical seeds.
     """

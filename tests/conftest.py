@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.compiled
 from repro.grid.lattice import Grid2D
 
 
@@ -24,3 +25,16 @@ def small_grid() -> Grid2D:
 def tiny_grid() -> Grid2D:
     """A 5 x 5 grid, small enough for exhaustive checks."""
     return Grid2D(5)
+
+
+@pytest.fixture
+def provider_env(monkeypatch):
+    """Pin ``REPRO_COMPILED_PROVIDER`` and re-probe; restores on teardown."""
+
+    def pin(value: str) -> None:
+        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", value)
+        repro.compiled.reset_probe()
+
+    yield pin
+    monkeypatch.undo()
+    repro.compiled.reset_probe()

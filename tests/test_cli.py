@@ -98,10 +98,10 @@ class TestBackendFlag:
             main(["run", "E1", "--backend", "gpu"])
 
     def test_override_is_restored_after_run(self):
-        from repro.core import runner
+        from repro.core.runner import current_run_options
 
         main(["run", "E4", "--scale", "tiny", "--backend", "serial"])
-        assert runner._BACKEND_OVERRIDE is None
+        assert current_run_options().backend is None
 
 
 class TestJobsFlag:
@@ -151,7 +151,7 @@ class TestConnectivityFlag:
             main(["run", "E1", "--connectivity", "magic"])
 
     def test_override_is_restored_after_run(self):
-        from repro.core import runner
+        from repro.core.runner import current_run_options
 
         main(["run", "E4", "--scale", "tiny", "--connectivity", "recompute"])
-        assert runner._CONNECTIVITY_OVERRIDE is None
+        assert current_run_options().connectivity is None

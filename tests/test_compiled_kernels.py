@@ -233,19 +233,6 @@ class TestChoiceStream:
 # --------------------------------------------------------------------------- #
 # Provider selection and graceful fallback
 # --------------------------------------------------------------------------- #
-@pytest.fixture
-def provider_env(monkeypatch):
-    """Pin ``REPRO_COMPILED_PROVIDER`` and re-probe; restores on teardown."""
-
-    def pin(value: str) -> None:
-        monkeypatch.setenv("REPRO_COMPILED_PROVIDER", value)
-        repro.compiled.reset_probe()
-
-    yield pin
-    monkeypatch.undo()
-    repro.compiled.reset_probe()
-
-
 class TestProviderSelection:
     def test_none_pins_backend_unavailable(self, provider_env):
         from repro.core.runner import resolve_backend, run_broadcast_replications
@@ -265,15 +252,12 @@ class TestProviderSelection:
             run_broadcast_replications(config, 2, seed=0, backend="compiled")
 
     def test_none_pins_process_backend_to_batched(self, provider_env):
-        from repro.dissemination.kernels import (
-            make_process,
-            resolve_process_backend,
-            run_process_replications,
-        )
+        from repro.core.runner import resolve_backend
+        from repro.dissemination.kernels import make_process, run_process_replications
 
         provider_env("none")
         process = make_process("frog", n_nodes=49, n_agents=4, max_steps=40)
-        assert resolve_process_backend(process, "auto") == "batched"
+        assert resolve_backend(process, "auto") == "batched"
         summary, _ = run_process_replications(process, 2, seed=0)
         assert summary.n_replications == 2
         with pytest.raises(RuntimeError, match="no compiled provider"):

@@ -268,8 +268,8 @@ class TestSimulationResume:
         assert len(resumed_results) == 6
 
     def test_none_override_preserves_ambient_executor(self, tmp_path):
-        # run_experiment(jobs=1) must not mask an executor installed by the
-        # caller (execution_override(None) is a true no-op).
+        # run_experiment must not mask an executor installed by the caller
+        # (execution_override(None) is a true no-op).
         from repro.exec import SweepExecutor, current_executor, execution_override
         from repro.experiments import run_experiment
 

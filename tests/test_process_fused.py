@@ -30,6 +30,7 @@ from repro.dissemination.kernels import (
     PredatorPreyProcess,
     run_process_replications,
 )
+from repro.exec import SweepExecutor, execution_override
 from repro.experiments import run_experiment
 from repro.util.rng import spawn_rngs
 from repro.util.serialization import to_jsonable
@@ -187,5 +188,6 @@ class TestProcessExperiments:
     @pytest.mark.parametrize("experiment_id", ["E7", "E9", "E10", "E11"])
     def test_pool_equals_inline(self, experiment_id):
         inline = run_experiment(experiment_id, "tiny", 7)
-        pooled = run_experiment(experiment_id, "tiny", 7, jobs=2, chunk_size=1)
+        with execution_override(SweepExecutor.from_options(jobs=2, chunk_size=1)):
+            pooled = run_experiment(experiment_id, "tiny", 7)
         assert _digest(pooled) == _digest(inline)

@@ -341,13 +341,16 @@ class TestReportEquivalence:
         from repro.experiments import run_experiment
 
         plain = run_experiment("E1", scale="tiny", seed=7)
-        sharded = run_experiment("E1", scale="tiny", seed=7, jobs=1, chunk_size=1)
-        pooled = run_experiment("E1", scale="tiny", seed=7, jobs=2)
+        with execution_override(SweepExecutor.from_options(jobs=1, chunk_size=1)):
+            sharded = run_experiment("E1", scale="tiny", seed=7)
+        with execution_override(SweepExecutor.from_options(jobs=2)):
+            pooled = run_experiment("E1", scale="tiny", seed=7)
         assert plain.render() == sharded.render() == pooled.render()
 
     def test_map_experiment_report_identical_across_jobs(self):
         from repro.experiments import run_experiment
 
         plain = run_experiment("E10", scale="tiny", seed=3)
-        pooled = run_experiment("E10", scale="tiny", seed=3, jobs=2)
+        with execution_override(SweepExecutor.from_options(jobs=2)):
+            pooled = run_experiment("E10", scale="tiny", seed=3)
         assert plain.render() == pooled.render()

@@ -23,6 +23,7 @@ from repro.connectivity.incremental import (
 from repro.connectivity.visibility import same_cell_labels, visibility_components
 from repro.core.config import BroadcastConfig, GossipConfig
 from repro.core.runner import run_broadcast_replications, run_gossip_replications
+from repro.dissemination.kernels import FrogProcess
 from repro.exec import SweepExecutor, execution_override
 from repro.grid.lattice import Grid2D
 from repro.mobility import make_mobility
@@ -289,14 +290,18 @@ def test_auto_connectivity_picks_incremental_below_radius_two():
     assert resolve_connectivity(large, "incremental") == "incremental"
     gossip = GossipConfig(n_nodes=100, n_agents=4, radius=0.0)
     assert resolve_connectivity(gossip) == "incremental"
+    # The same resolver serves process kernels: labels below radius 2 only.
+    assert resolve_connectivity(FrogProcess(n_nodes=100, n_agents=4, radius=1.0)) == "incremental"
+    assert resolve_connectivity(FrogProcess(n_nodes=100, n_agents=4, radius=3.0)) == "recompute"
 
 
 def test_connectivity_override_reaches_simulations():
-    """The process-wide override mirrors ``backend_override``."""
-    from repro.core.runner import connectivity_override, resolve_connectivity
+    """An ``execution_override`` connectivity beats the config's field."""
+    from repro.core.runner import resolve_connectivity
+    from repro.exec import execution_override
 
     config = BroadcastConfig(n_nodes=100, n_agents=4, radius=1.0)
-    with connectivity_override("recompute"):
+    with execution_override(connectivity="recompute"):
         assert resolve_connectivity(config) == "recompute"
     assert resolve_connectivity(config) == "incremental"
 

@@ -235,7 +235,8 @@ class TestWalkExperiments:
     @pytest.mark.parametrize("experiment_id", ["E5", "E15"])
     def test_pool_equals_inline(self, experiment_id):
         inline = run_experiment(experiment_id, "tiny", 3)
-        pooled = run_experiment(experiment_id, "tiny", 3, jobs=2, chunk_size=7)
+        with execution_override(SweepExecutor.from_options(jobs=2, chunk_size=7)):
+            pooled = run_experiment(experiment_id, "tiny", 3)
         assert _digest(pooled) == _digest(inline)
 
     def test_meeting_estimate_reproduces_the_e5_point(self):
